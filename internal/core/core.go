@@ -88,7 +88,8 @@ func WithExecutionLayer(l *workflow.ExecLayer) Option {
 // WithBatching packs up to k compatible unit tasks into one multi-task
 // prompt for the strategies that issue homogeneous per-item tasks
 // (per-item filter, categorize assignment, LLM imputation). k <= 1
-// disables batching (the default). See workflow.BatchingModel for the
+// disables batching (the default). Tasks share an envelope only within
+// one operator fan-out. See workflow.BatchingModel for the flush,
 // splitting and retry semantics.
 func WithBatching(k int) Option {
 	return func(e *Engine) { e.batch = k }

@@ -71,7 +71,11 @@ type ExecConfig struct {
 	// Use one Attribution per logical run — it accumulates.
 	Attribution *workflow.Attribution
 	// Batch packs up to this many unit tasks per envelope prompt (<= 1
-	// disables batching).
+	// disables batching). Only the tasks of one operator fan-out (one
+	// chunk's worth of records under streaming) share envelopes, and they
+	// flush the moment every live task of the fan-out waits on the model:
+	// batching adds no timer delay, and which tasks share an envelope
+	// depends only on the fan-out's prompts (see workflow.BatchingModel).
 	Batch int
 	// Parallelism bounds concurrent LLM calls per operator (default 8).
 	Parallelism int

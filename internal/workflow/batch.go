@@ -2,8 +2,8 @@ package workflow
 
 import (
 	"context"
+	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/llm"
 	"repro/internal/prompt"
@@ -14,10 +14,6 @@ type BatchOptions struct {
 	// MaxBatch is the most unit tasks packed into one envelope prompt
 	// (default 8). Values <= 1 disable packing.
 	MaxBatch int
-	// Linger is how long the first request of a forming batch waits for
-	// company before the batch is flushed anyway (default 2ms). The
-	// trade-off is latency on straggler tasks versus packing density.
-	Linger time.Duration
 	// Observer, when set, additionally receives every envelope and
 	// solo-retry count — typically the shared ExecLayer, so per-session
 	// batchers aggregate into one ExecStats snapshot.
@@ -27,9 +23,6 @@ type BatchOptions struct {
 func (o BatchOptions) withDefaults() BatchOptions {
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 8
-	}
-	if o.Linger == 0 {
-		o.Linger = 2 * time.Millisecond
 	}
 	return o
 }
@@ -57,46 +50,49 @@ type batchResult struct {
 
 // batchItem is one enqueued unit task.
 type batchItem struct {
-	ctx context.Context
-	req llm.Request
-	ch  chan batchResult
+	b     *BatchingModel
+	group batchGroup
+	ctx   context.Context
+	req   llm.Request
+	ch    chan batchResult
+	park  park
 }
 
-// batchQueue is the forming batch of one compatibility group.
-type batchQueue struct {
-	items []*batchItem
-	timer *time.Timer
-}
-
-// BatchingModel packs concurrently issued unit tasks into multi-task
-// envelope prompts (prompt.TaskBatch) and splits the completion back into
-// per-task responses. Under workflow.Map's fan-out, K compatible unit
-// tasks cost one upstream round-trip instead of K.
+// BatchingModel packs the unit tasks of one workflow.Map fan-out into
+// multi-task envelope prompts (prompt.TaskBatch) and splits the completion
+// back into per-task responses, so K compatible unit tasks cost one
+// upstream round-trip instead of K.
 //
-// Requests accumulate per compatibility group (temperature, seed); a
-// group flushes when it reaches MaxBatch or when the oldest
-// request has lingered for Linger. A batch of one is issued verbatim, so
-// stragglers pay only latency, never a changed prompt. Tasks whose answer
-// section is missing or unsplittable are re-issued individually with their
-// original prompt — the retry path — so a malformed batched completion
-// degrades to per-task cost, never to a wrong or lost answer. A failed
-// envelope call takes the same path: each waiter solo-retries under its
-// own context with its original request (concurrently, bounded by
-// soloRetryParallelism), so one co-batched caller's cancellation or a
-// transient upstream fault never poisons the whole batch. At
-// temperature 0 this makes batched results identical to unbatched ones
-// whenever the upstream model answers each embedded task as it would
-// standalone (the simulator guarantees this; see docs/EXECUTION.md).
+// Requests queue in the batch window Map attached to their context, per
+// compatibility group (temperature, seed, stage). The window flushes as
+// soon as every live task of the fan-out is parked — waiting here or on
+// an identical call already in flight — because then nothing more can
+// join. Each group's tasks are sorted by prompt and cut into envelopes of
+// at most MaxBatch, so which tasks share an envelope, and in which order,
+// depends only on the fan-out's distinct prompts, never on goroutine
+// timing. A batch of one is issued verbatim, and so is a call whose
+// context carries no window: it has no known company and never waits.
+//
+// Tasks whose answer section is missing or unsplittable are re-issued
+// individually with their original prompt — the retry path — so a
+// malformed batched completion degrades to per-task cost, never to a
+// wrong or lost answer. A failed envelope call takes the same path: each
+// waiter solo-retries under its own context with its original request
+// (concurrently, bounded by soloRetryParallelism), so one co-batched
+// caller's cancellation or a transient upstream fault never poisons the
+// whole batch. At temperature 0 this makes batched results identical to
+// unbatched ones whenever the upstream model answers each embedded task
+// as it would standalone (the simulator guarantees this; see
+// docs/EXECUTION.md).
 //
 // Split responses carry zero usage: the envelope call's real usage is
-// observed by whatever accounting wraps the inner model (counting, budget,
-// trace), exactly once.
+// observed by whatever accounting wraps the inner model (counting,
+// budget, attribution), exactly once.
 type BatchingModel struct {
 	inner llm.Model
 	opts  BatchOptions
 
 	mu      sync.Mutex
-	queues  map[batchGroup]*batchQueue
 	batches int // envelope calls issued upstream, failed ones included
 	packed  int // unit tasks answered from inside an envelope
 	retried int // unit tasks re-issued solo after a failed envelope or bad split
@@ -109,11 +105,7 @@ const soloRetryParallelism = 8
 
 // NewBatching wraps m with batching under the given options.
 func NewBatching(m llm.Model, opts BatchOptions) *BatchingModel {
-	return &BatchingModel{
-		inner:  m,
-		opts:   opts.withDefaults(),
-		queues: make(map[batchGroup]*batchQueue),
-	}
+	return &BatchingModel{inner: m, opts: opts.withDefaults()}
 }
 
 // Name implements llm.Model.
@@ -128,47 +120,73 @@ func (b *BatchingModel) Stats() (batches, packed, retried int) {
 	return b.batches, b.packed, b.retried
 }
 
-// Complete implements llm.Model. Two kinds of request are passed through
-// verbatim rather than batched: prompts that cannot be embedded in an
-// envelope losslessly (prompt.CanEmbed — unterminated, or containing a
-// section-header-shaped line of their own), and requests with a MaxTokens
-// cap — a pooled envelope cap cannot reproduce standalone per-call
-// truncation, so a capped section could come back silently shortened
-// instead of taking the retry path.
+// Complete implements llm.Model. Besides windowless calls, two kinds of
+// request are passed through verbatim rather than batched: prompts that
+// cannot be embedded in an envelope losslessly (prompt.CanEmbed —
+// unterminated, or containing a section-header-shaped line of their own),
+// and requests with a MaxTokens cap — a pooled envelope cap cannot
+// reproduce standalone per-call truncation, so a capped section could
+// come back silently shortened instead of taking the retry path.
 func (b *BatchingModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	if b.opts.MaxBatch <= 1 || req.MaxTokens > 0 || !prompt.CanEmbed(req.Prompt) {
+	w := windowFrom(ctx)
+	if w == nil || b.opts.MaxBatch <= 1 || req.MaxTokens > 0 || !prompt.CanEmbed(req.Prompt) {
 		return b.inner.Complete(ctx, req)
 	}
-	item := &batchItem{ctx: ctx, req: req, ch: make(chan batchResult, 1)}
-	group := batchGroup{temperature: req.Temperature, stage: StageTag(ctx)}
+	item := &batchItem{b: b, ctx: ctx, req: req, ch: make(chan batchResult, 1)}
+	item.group = batchGroup{temperature: req.Temperature, stage: StageTag(ctx)}
 	if req.Temperature > 0 {
-		group.seed = req.Seed
+		item.group.seed = req.Seed
 	}
-
-	b.mu.Lock()
-	q := b.queues[group]
-	if q == nil {
-		q = &batchQueue{}
-		b.queues[group] = q
-		q.timer = time.AfterFunc(b.opts.Linger, func() { b.flushGroup(group, q) })
-	}
-	q.items = append(q.items, item)
-	if len(q.items) >= b.opts.MaxBatch {
-		items := b.detachLocked(group, q)
-		b.mu.Unlock()
-		b.flush(items)
-	} else {
-		b.mu.Unlock()
-	}
+	w.enqueue(item)
 
 	select {
 	case r := <-item.ch:
 		return r.resp, r.err
 	case <-ctx.Done():
-		// The flush will still deliver into the buffered channel; nothing
-		// leaks. The upstream call (if any) runs on the batch leader's
-		// context.
+		// A flush already under way still delivers into the buffered
+		// channel; nothing leaks. Its upstream call runs on the batch
+		// leader's context.
+		w.abandon(item)
 		return llm.Response{}, ctx.Err()
+	}
+}
+
+// flushBatches issues the batches a window detached: per batcher and
+// compatibility group, tasks sorted by prompt, cut into envelopes of at
+// most MaxBatch. All envelopes but the last run on their own goroutines,
+// so a wide fan-out pays one round-trip, not one per envelope.
+func flushBatches(batches [][]*batchItem) {
+	type key struct {
+		b *BatchingModel
+		g batchGroup
+	}
+	var envelopes [][]*batchItem
+	for _, items := range batches {
+		groups := make(map[key][]*batchItem)
+		var order []key
+		for _, it := range items {
+			k := key{it.b, it.group}
+			if groups[k] == nil {
+				order = append(order, k)
+			}
+			groups[k] = append(groups[k], it)
+		}
+		for _, k := range order {
+			g := groups[k]
+			sort.SliceStable(g, func(i, j int) bool { return g[i].req.Prompt < g[j].req.Prompt })
+			for len(g) > 0 {
+				n := min(len(g), k.b.opts.MaxBatch)
+				envelopes = append(envelopes, g[:n])
+				g = g[n:]
+			}
+		}
+	}
+	for i, env := range envelopes {
+		if i == len(envelopes)-1 {
+			env[0].b.flush(env)
+		} else {
+			go env[0].b.flush(env)
+		}
 	}
 }
 
@@ -179,40 +197,18 @@ func (b *BatchingModel) observe(envelopes, packed, soloRetries int) {
 	}
 }
 
-// detachLocked removes q from the forming set and stops its timer. Callers
-// hold b.mu.
-func (b *BatchingModel) detachLocked(group batchGroup, q *batchQueue) []*batchItem {
-	if b.queues[group] == q {
-		delete(b.queues, group)
-	}
-	q.timer.Stop()
-	return q.items
-}
-
-// flushGroup is the linger-timer path: detach whatever has accumulated and
-// flush it. A size-triggered flush may have emptied the group already.
-func (b *BatchingModel) flushGroup(group batchGroup, q *batchQueue) {
-	b.mu.Lock()
-	if b.queues[group] != q {
-		b.mu.Unlock()
-		return
-	}
-	items := b.detachLocked(group, q)
-	b.mu.Unlock()
-	b.flush(items)
-}
-
 // flush issues one envelope for the items (or a verbatim call for a batch
 // of one), splits the completion, and delivers per-item results. The first
-// item's context drives the upstream call — in practice every item of a
-// batch comes from one operator fan-out sharing a context.
+// item's context drives the upstream call — every item of a batch comes
+// from one fan-out sharing a context. Once the call returns, every
+// waiter's park is released before any waiter is woken (see park), and
+// tasks sent to a solo retry count as running, not parked: a retry is an
+// ordinary upstream call.
 func (b *BatchingModel) flush(items []*batchItem) {
-	if len(items) == 0 {
-		return
-	}
 	if len(items) == 1 {
 		it := items[0]
 		resp, err := b.inner.Complete(it.ctx, it.req)
+		it.park.release()
 		it.ch <- batchResult{resp: resp, err: err}
 		return
 	}
@@ -228,13 +224,16 @@ func (b *BatchingModel) flush(items []*batchItem) {
 		Seed:        items[0].req.Seed,
 	}
 	resp, err := b.inner.Complete(ctx, breq)
+	for _, it := range items {
+		it.park.release()
+	}
 	if err != nil {
 		// A failed envelope is not a failed unit task: the error may be the
 		// leader's cancellation or a transient upstream fault that has
 		// nothing to do with most of the co-batched waiters. Solo-retry
 		// every waiter with its own ctx and original request instead of
-		// propagating the envelope error; FlightGroup already defends
-		// against duplicated in-flight work one layer up. The envelope
+		// propagating the envelope error; the ExecLayer's coalescer already
+		// defends against duplicated in-flight work one layer up. The envelope
 		// still counts as issued — it was a real upstream call.
 		b.mu.Lock()
 		b.batches++

@@ -40,23 +40,23 @@ func FuzzFaultyBatchReplies(f *testing.F) {
 			}
 			return llm.Response{Text: "solo:" + req.Prompt, Model: "fuzz-upstream"}, nil
 		}}
-		// An hour's linger means only the size trigger flushes: all n
-		// tasks always ride one envelope, so the expected split is exactly
-		// ParseTaskBatch(reply, n).
-		b := NewBatching(inner, BatchOptions{MaxBatch: n, Linger: time.Hour})
+		// The n tasks are one fan-out of width n, so they always ride one
+		// envelope and the expected split is exactly ParseTaskBatch(reply, n).
+		b := NewBatching(inner, BatchOptions{MaxBatch: n})
 
 		const taskPrompt = "classify the fuzz probe record\n"
 		texts := make([]string, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, err := b.Complete(context.Background(), llm.Request{Prompt: taskPrompt})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = Map(context.Background(), n, n, func(ctx context.Context, i int) (struct{}, error) {
+				resp, err := b.Complete(ctx, llm.Request{Prompt: taskPrompt})
 				texts[i], errs[i] = resp.Text, err
-			}(i)
-		}
+				return struct{}{}, nil
+			})
+		}()
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 		select {

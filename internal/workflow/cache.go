@@ -48,10 +48,13 @@ func keyFor(model string, req llm.Request) cacheKey {
 // path (a hit) completes entirely under the read lock. dirty records the
 // keys inserted since the last log flush, so CacheLog.Flush appends only
 // the delta (see cachelog.go); it costs one slice append per put and
-// nothing at all on the read path.
+// nothing at all on the read path. pending holds the memo entries whose
+// upstream call is still in flight (see Cache.do); it is allocated on
+// first use, so caches that never coalesce pay nothing for it.
 type cacheShard struct {
 	mu      sync.RWMutex
 	entries map[cacheKey]llm.Response
+	pending map[cacheKey]*flight
 	dirty   []cacheKey
 	hits    atomic.Int64
 }
@@ -64,6 +67,9 @@ type cacheShard struct {
 // operator of a session (see ExecLayer).
 type Cache struct {
 	shards []cacheShard
+	// coalesced counts asks answered by joining another caller's
+	// in-flight upstream call (see Cache.do).
+	coalesced atomic.Int64
 }
 
 // NewCache returns an empty cache with the given shard count; shards <= 0
@@ -91,8 +97,9 @@ func (c *Cache) shard(key cacheKey) *cacheShard {
 }
 
 // get returns the cached response for key, counting a hit.
-func (c *Cache) get(key cacheKey) (llm.Response, bool) {
-	s := c.shard(key)
+func (c *Cache) get(key cacheKey) (llm.Response, bool) { return c.shard(key).get(key) }
+
+func (s *cacheShard) get(key cacheKey) (llm.Response, bool) {
 	s.mu.RLock()
 	resp, ok := s.entries[key]
 	s.mu.RUnlock()
@@ -108,9 +115,13 @@ func (c *Cache) get(key cacheKey) (llm.Response, bool) {
 func (c *Cache) put(key cacheKey, resp llm.Response) {
 	s := c.shard(key)
 	s.mu.Lock()
+	s.putLocked(key, resp)
+	s.mu.Unlock()
+}
+
+func (s *cacheShard) putLocked(key cacheKey, resp llm.Response) {
 	s.entries[key] = resp
 	s.dirty = append(s.dirty, key)
-	s.mu.Unlock()
 }
 
 // Put stores (or overwrites) the response served for prompt against the

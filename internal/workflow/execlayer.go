@@ -47,13 +47,13 @@ type ServeObserver interface {
 }
 
 // ExecLayer is the shared high-throughput execution substrate: one
-// sharded response cache plus one in-flight coalescer that span every
-// operator (and every engine) wrapped against it. Without it, each
-// operator invocation builds a private cache (core's per-session default),
-// so nothing is reused across operators and concurrent identical requests
-// all miss. With it, an identical unit task is answered upstream exactly
-// once per process — first by coalescing while in flight, then by the
-// cache forever after.
+// sharded memo cache — answered responses plus the upstream calls still in
+// flight — that spans every operator (and every engine) wrapped against
+// it. Without it, each operator invocation builds a private cache (core's
+// per-session default), so nothing is reused across operators and
+// concurrent identical requests all miss. With it, an identical unit task
+// is answered upstream exactly once per process — first by coalescing
+// while in flight, then by the cache forever after.
 //
 // The layer also implements BatchObserver: engines that batch below it
 // (core.WithBatching) report envelope and solo-retry counts here, so
@@ -62,15 +62,18 @@ type ServeObserver interface {
 // Construct one layer per logical session or service and pass it to every
 // engine via core.WithExecutionLayer. Safe for concurrent use.
 type ExecLayer struct {
-	cache   *Cache
-	flights *FlightGroup
+	cache *Cache
 
 	batches     atomic.Int64
 	soloRetries atomic.Int64
 
 	// serveObs holds the optional ServeObserver (serveObsBox), consulted
-	// per ask by the wrapper Wrap layers on top of the cache.
+	// per ask by the wrapper Wrap returns.
 	serveObs atomic.Value
+
+	// leaderHook, when set (by tests), runs in a flight leader between
+	// its upstream call's return and the answer's publication.
+	leaderHook func()
 
 	// stateMu guards the optional persistence attachment (OpenState).
 	stateMu sync.Mutex
@@ -87,18 +90,19 @@ func NewExecLayer() *ExecLayer { return NewExecLayerShards(0) }
 // NewExecLayerShards returns a layer whose cache has the given shard
 // count; shards <= 0 selects DefaultCacheShards.
 func NewExecLayerShards(shards int) *ExecLayer {
-	return &ExecLayer{cache: NewCache(shards), flights: NewFlightGroup()}
+	return &ExecLayer{cache: NewCache(shards)}
 }
 
 // Cache returns the shared cache handle, for Save/Load persistence.
 func (l *ExecLayer) Cache() *Cache { return l.cache }
 
-// Wrap layers the shared cache and coalescer over m: lookups hit the cache
-// first; misses coalesce with identical in-flight requests; only flight
-// leaders reach m. When a ServeObserver is attached, every successful ask
-// is additionally reported to it with the ask's context.
+// Wrap layers the shared memo cache over m: an ask is answered from the
+// cache, or joins an identical call already in flight, or leads a new
+// one — only flight leaders reach m (see Cache.do). When a ServeObserver
+// is attached, every successful ask is additionally reported to it with
+// the ask's context.
 func (l *ExecLayer) Wrap(m llm.Model) llm.Model {
-	return &observedModel{inner: NewCachedWith(NewCoalescingWith(m, l.flights), l.cache), layer: l}
+	return &memoModel{inner: m, layer: l}
 }
 
 // SetServeObserver attaches (or, with nil, detaches) the per-ask observer.
@@ -106,28 +110,6 @@ func (l *ExecLayer) Wrap(m llm.Model) llm.Model {
 // observation point keep the observer they loaded.
 func (l *ExecLayer) SetServeObserver(o ServeObserver) {
 	l.serveObs.Store(serveObsBox{obs: o})
-}
-
-// observedModel sits on top of an ExecLayer's cache and reports each
-// successful ask to the layer's ServeObserver, classifying it free when the
-// response carried zero usage (served without a fresh billed upstream call).
-type observedModel struct {
-	inner llm.Model
-	layer *ExecLayer
-}
-
-// Name implements llm.Model.
-func (m *observedModel) Name() string { return m.inner.Name() }
-
-// Complete implements llm.Model.
-func (m *observedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	resp, err := m.inner.Complete(ctx, req)
-	if err == nil {
-		if box, ok := m.layer.serveObs.Load().(serveObsBox); ok && box.obs != nil {
-			box.obs.ObserveServe(ctx, resp.Usage.IsZero())
-		}
-	}
-	return resp, err
 }
 
 // ObserveBatch implements BatchObserver.
@@ -145,7 +127,7 @@ func (l *ExecLayer) Stats() ExecStats {
 	return ExecStats{
 		CacheSize:   size,
 		CacheHits:   hits,
-		Coalesced:   l.flights.Coalesced(),
+		Coalesced:   int(l.cache.coalesced.Load()),
 		Batches:     int(l.batches.Load()),
 		SoloRetries: int(l.soloRetries.Load()),
 	}

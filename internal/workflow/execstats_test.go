@@ -41,22 +41,18 @@ func TestExecStatsDuringBatchedRun(t *testing.T) {
 		}()
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Half the prompts repeat, so the cache-hit and coalescing
-			// counters move too, not just the batch observer.
-			prompt := fmt.Sprintf("task %d\nbody\n", i%32)
-			if _, err := m.Complete(context.Background(), llm.Request{Prompt: prompt}); err != nil {
-				t.Errorf("complete: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
+	_, err := Map(context.Background(), 64, 16, func(ctx context.Context, i int) (struct{}, error) {
+		// Half the prompts repeat, so the cache-hit and coalescing
+		// counters move too, not just the batch observer.
+		prompt := fmt.Sprintf("task %d\nbody\n", i%32)
+		_, err := m.Complete(ctx, llm.Request{Prompt: prompt})
+		return struct{}{}, err
+	})
 	close(stop)
 	pollers.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s := layer.Stats()
 	if s.Batches == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,8 @@ func gatedModel(calls *atomic.Int64, release <-chan struct{}) llm.Model {
 func TestCoalescingCollapsesIdenticalConcurrent(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
-	c := NewCoalescing(gatedModel(&calls, release))
+	layer := NewExecLayer()
+	c := layer.Wrap(gatedModel(&calls, release))
 	ctx := context.Background()
 
 	const n = 8
@@ -72,8 +74,8 @@ func TestCoalescingCollapsesIdenticalConcurrent(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("upstream calls = %d, want 1", calls.Load())
 	}
-	if c.Coalesced() != n-1 {
-		t.Fatalf("coalesced = %d, want %d", c.Coalesced(), n-1)
+	if layer.Stats().Coalesced != n-1 {
+		t.Fatalf("coalesced = %d, want %d", layer.Stats().Coalesced, n-1)
 	}
 	for _, text := range texts {
 		if text != "echo:same" {
@@ -90,7 +92,8 @@ func TestCoalescingKeepsDistinctRequestsApart(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	close(release)
-	c := NewCoalescing(gatedModel(&calls, release))
+	layer := NewExecLayer()
+	c := layer.Wrap(gatedModel(&calls, release))
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -127,7 +130,8 @@ func TestCoalescingSharesLeaderError(t *testing.T) {
 		<-release
 		return llm.Response{}, boom
 	}}
-	c := NewCoalescing(inner)
+	layer := NewExecLayer()
+	c := layer.Wrap(inner)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
@@ -170,7 +174,8 @@ func TestCoalescingFollowerSurvivesLeaderCancellation(t *testing.T) {
 			return llm.Response{Text: "ok", Model: "m", Usage: token.Usage{Calls: 1}}, nil
 		}
 	}}
-	c := NewCoalescing(inner)
+	layer := NewExecLayer()
+	c := layer.Wrap(inner)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
@@ -187,7 +192,7 @@ func TestCoalescingFollowerSurvivesLeaderCancellation(t *testing.T) {
 		followerResp, err = c.Complete(context.Background(), llm.Request{Prompt: "p"})
 		followerDone <- err
 	}()
-	for c.Coalesced() == 0 {
+	for layer.Stats().Coalesced == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancelLeader()
@@ -210,7 +215,8 @@ func TestCoalescingFollowerHonoursOwnContext(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
 	defer close(release)
-	c := NewCoalescing(gatedModel(&calls, release))
+	layer := NewExecLayer()
+	c := layer.Wrap(gatedModel(&calls, release))
 
 	leaderErr := make(chan error, 1)
 	go func() {
@@ -226,7 +232,7 @@ func TestCoalescingFollowerHonoursOwnContext(t *testing.T) {
 		_, err := c.Complete(followerCtx, llm.Request{Prompt: "p"})
 		done <- err
 	}()
-	for c.Coalesced() == 0 {
+	for layer.Stats().Coalesced == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -237,5 +243,78 @@ func TestCoalescingFollowerHonoursOwnContext(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("cancelled follower still blocked on the flight")
+	}
+}
+
+// TestExecLayerUpstreamOncePerKey pins the memo contract: upstream calls
+// equal distinct keys, however callers interleave with a flight's end. A
+// hook holds the first leader between its upstream call's return and the
+// answer's publication while identical asks pile up; the rounds after
+// that race many asks per key against leaders that yield at that point.
+func TestExecLayerUpstreamOncePerKey(t *testing.T) {
+	var calls atomic.Int64
+	upstream := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		calls.Add(1)
+		return llm.Response{Text: "echo:" + req.Prompt, Model: "m", Usage: token.Usage{Calls: 1}}, nil
+	}}
+
+	layer := NewExecLayer()
+	held, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	layer.leaderHook = func() {
+		if first.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+	}
+	m := layer.Wrap(upstream)
+	var wg sync.WaitGroup
+	ask := func() {
+		defer wg.Done()
+		if resp, err := m.Complete(context.Background(), llm.Request{Prompt: "p"}); err != nil || resp.Text != "echo:p" {
+			t.Errorf("ask = (%q, %v)", resp.Text, err)
+		}
+	}
+	wg.Add(1)
+	go ask()
+	<-held
+	const n = 8
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go ask()
+	}
+	for layer.Stats().Coalesced < n {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go ask()
+	}
+	wg.Wait()
+	if s := layer.Stats(); calls.Load() != 1 || s.Coalesced != n || s.CacheHits != n {
+		t.Fatalf("calls = %d, stats %+v; want 1 call, %d followers, %d hits", calls.Load(), s, n, n)
+	}
+
+	const keys, asksPerKey = 4, 16
+	for round := 0; round < 200; round++ {
+		calls.Store(0)
+		layer := NewExecLayer()
+		layer.leaderHook = runtime.Gosched
+		m := layer.Wrap(upstream)
+		wg.Add(keys * asksPerKey)
+		for i := 0; i < keys*asksPerKey; i++ {
+			go func(i int) {
+				defer wg.Done()
+				if _, err := m.Complete(context.Background(), llm.Request{Prompt: fmt.Sprintf("k%d", i%keys)}); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		if calls.Load() != keys {
+			t.Fatalf("round %d: upstream calls = %d for %d distinct keys", round, calls.Load(), keys)
+		}
 	}
 }

@@ -3,11 +3,12 @@
 // specified monetary budget"), the shared execution layer (sharded
 // response cache plus in-flight request coalescing, see ExecLayer),
 // unit-task batching into envelope prompts (BatchingModel),
-// bounded-concurrency fan-out (Map), client-side rate limiting,
-// per-model usage tracing (Trace), and per-stage usage attribution
-// (Attribution, TagStage) that lets one shared budget be broken down by
-// pipeline stage — including the optimizer's selectivity probes under
-// the reserved StageProbe label. See docs/EXECUTION.md.
+// bounded-concurrency fan-out (Map) whose batch windows tell the batcher
+// when a fan-out's envelope is complete, client-side rate limiting, and
+// per-stage usage attribution (Attribution, TagStage) that lets one
+// shared budget be broken down by pipeline stage — including the
+// optimizer's selectivity probes under the reserved StageProbe label.
+// See docs/EXECUTION.md.
 package workflow
 
 import (
@@ -184,6 +185,10 @@ func (m *BudgetedModel) Complete(ctx context.Context, req llm.Request) (llm.Resp
 // invocations and collects the results in index order. The first error
 // cancels outstanding work and is returned alongside the partial results
 // (entries for failed or cancelled indices are the zero value).
+//
+// Every task's context carries the fan-out's batch window: a
+// BatchingModel below packs the unit tasks the fan-out issues and flushes
+// them as soon as every live task waits on a model call (see window).
 func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if parallelism <= 0 {
 		parallelism = 1
@@ -191,6 +196,7 @@ func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Con
 	results := make([]T, n)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	ctx, win := openWindow(ctx, n, parallelism)
 
 	var (
 		wg       sync.WaitGroup
@@ -203,6 +209,7 @@ func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Con
 		stop := firstErr != nil
 		mu.Unlock()
 		if stop || ctx.Err() != nil {
+			win.truncate(i)
 			break
 		}
 		wg.Add(1)
@@ -211,6 +218,7 @@ func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Con
 			defer wg.Done()
 			defer func() { <-sem }()
 			v, err := fn(ctx, i)
+			win.finish()
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -228,66 +236,4 @@ func Map[T any](ctx context.Context, n, parallelism int, fn func(ctx context.Con
 		firstErr = fmt.Errorf("workflow: %w", ctx.Err())
 	}
 	return results, firstErr
-}
-
-// Trace accumulates per-model usage for reporting. Safe for concurrent
-// use.
-type Trace struct {
-	mu      sync.Mutex
-	byModel map[string]token.Usage
-}
-
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{byModel: make(map[string]token.Usage)} }
-
-// Record adds usage under the given model name.
-func (t *Trace) Record(model string, u token.Usage) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.byModel[model] = t.byModel[model].Add(u)
-}
-
-// Usage returns the usage recorded for one model.
-func (t *Trace) Usage(model string) token.Usage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byModel[model]
-}
-
-// Total returns usage summed across models, and the total dollar cost at
-// list prices.
-func (t *Trace) Total() (token.Usage, float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var u token.Usage
-	var cost float64
-	for model, usage := range t.byModel {
-		u = u.Add(usage)
-		cost += token.PriceFor(model).Cost(usage)
-	}
-	return u, cost
-}
-
-// TracedModel wraps a model so every successful call is recorded in a
-// Trace.
-type TracedModel struct {
-	inner llm.Model
-	trace *Trace
-}
-
-// NewTraced wraps m, recording into tr.
-func NewTraced(m llm.Model, tr *Trace) *TracedModel {
-	return &TracedModel{inner: m, trace: tr}
-}
-
-// Name implements llm.Model.
-func (m *TracedModel) Name() string { return m.inner.Name() }
-
-// Complete implements llm.Model.
-func (m *TracedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	resp, err := m.inner.Complete(ctx, req)
-	if err == nil {
-		m.trace.Record(m.inner.Name(), resp.Usage)
-	}
-	return resp, err
 }

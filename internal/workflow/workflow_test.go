@@ -228,32 +228,6 @@ func TestMapZeroTasks(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	tr := NewTrace()
-	tr.Record("a", token.Usage{PromptTokens: 10, Calls: 1})
-	tr.Record("a", token.Usage{PromptTokens: 5, Calls: 1})
-	tr.Record("b", token.Usage{CompletionTokens: 7, Calls: 1})
-	if got := tr.Usage("a"); got.PromptTokens != 15 || got.Calls != 2 {
-		t.Fatalf("usage(a) = %+v", got)
-	}
-	total, cost := tr.Total()
-	if total.Calls != 3 || cost <= 0 {
-		t.Fatalf("total = %+v, $%f", total, cost)
-	}
-}
-
-func TestTracedModel(t *testing.T) {
-	tr := NewTrace()
-	m := NewTraced(fixedModel("m", "out"), tr)
-	if m.Name() != "m" {
-		t.Fatal("name")
-	}
-	m.Complete(context.Background(), llm.Request{Prompt: "hello world"})
-	if tr.Usage("m").Calls != 1 {
-		t.Fatal("traced call not recorded")
-	}
-}
-
 func TestBudgetChargeAccumulatesProperty(t *testing.T) {
 	f := func(charges []uint8) bool {
 		b := Unlimited()
