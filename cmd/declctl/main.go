@@ -63,13 +63,10 @@ func main() {
 	ixFlat := sub.Bool("flat", false, "skip the ANN modes for index-bench (full-store scans only)")
 	specPath := sub.String("spec", "", "JSON pipeline spec file for pipeline (empty = built-in demo)")
 	plModel := sub.String("model", "sim-gpt-3.5-turbo", "model name for pipeline")
-	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized with isolated per-stage engines")
+	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized and sequentially, with a fresh engine per stage")
 	plProbe := sub.Int("probe", 0, "sample size for measured filter selectivity in pipeline (0 = trust spec hints)")
-	plMaterialized := sub.Bool("materialized", false, "disable record streaming between pipeline stages")
 	plChunk := sub.Int("chunk", 0, "records per streaming micro-batch for pipeline (0 = max(batch, 8); forces a fixed width)")
-	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: self-tuned chunk widths, side-input overlap, mid-run filter re-ordering")
-	plChunkMin := sub.Int("chunk-min", 0, "adaptive chunk width floor for pipeline (0 = 1)")
-	plChunkMax := sub.Int("chunk-max", 0, "adaptive chunk width ceiling for pipeline (0 = 64)")
+	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: self-tuned chunk widths, mid-run filter re-ordering")
 	plFaults := sub.String("faults", "",
 		"inject deterministic upstream faults for pipeline: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")
 	plRetries := sub.Int("retries", 3, "max attempts per upstream call for pipeline when -faults is set (1 = no retries)")
@@ -296,10 +293,6 @@ func main() {
 			Parallelism:   16,
 			Chunk:         *plChunk,
 			Adaptive:      *plAdaptive,
-			ChunkMin:      *plChunkMin,
-			ChunkMax:      *plChunkMax,
-			Materialized:  *plMaterialized || *plNaive,
-			Isolated:      *plNaive,
 			OnRecordError: *plOnRecordError,
 			// Persistent layer and ledger so probe work is re-served from
 			// cache by the run and reported as the __probe row.
@@ -329,7 +322,12 @@ func main() {
 		if err != nil {
 			return err
 		}
-		res, err := p.Run(ctx, execCfg, tables)
+		var res *pipeline.Result
+		if *plNaive {
+			res, err = p.RunSequential(ctx, pipeline.SequentialConfig{Model: counting, Parallelism: execCfg.Parallelism}, tables)
+		} else {
+			res, err = p.Run(ctx, execCfg, tables)
+		}
 		if err != nil {
 			return err
 		}
@@ -617,15 +615,15 @@ commands:
   pipeline        run a declarative operator DAG from a JSON spec with the
                   optimizer, record streaming, shared engine, and per-stage
                   attribution (-spec file.json -model M -batch K -naive
-                  -probe K measures hintless filter selectivity on a sample,
-                  -materialized disables streaming, -chunk N pins the
-                  micro-batch width, -adaptive enables the self-tuning
-                  runtime with -chunk-min/-chunk-max bounds,
+                  runs the sequential reference instead, -probe K
+                  measures hintless filter selectivity on a sample,
+                  -chunk N pins the micro-batch width, -adaptive enables
+                  the self-tuning runtime,
                   -faults key=val,... injects deterministic upstream faults
                   healed by -retries N attempts, -on-record-error
                   fail|skip|quarantine picks the degraded-mode policy)
-  pipeline-study  naive sequential operators vs the optimized pipeline —
-                  materialized, streaming+probed, and adaptive — plus the
+  pipeline-study  naive sequential operators vs the optimized streaming
+                  pipeline — hinted, probed, and adaptive — plus the
                   side-input overlap scenario (-records N -dup F -batch K)
   scenario        run one checkpointed multi-turn scenario against the
                   deterministic sim engine: standing queries with mid-run

@@ -182,6 +182,9 @@ type (
 	// PipelineConfig parameterises one pipeline run (model, budget,
 	// shared layer, batching, streaming chunk size).
 	PipelineConfig = pipeline.ExecConfig
+	// SequentialConfig parameterises Pipeline.RunSequential, the naive
+	// reference runner (a fresh engine per stage, whole tables, no sharing).
+	SequentialConfig = pipeline.SequentialConfig
 	// PipelineResult is a run's tables, scalars, and per-stage accounting.
 	PipelineResult = pipeline.Result
 	// ProbeOptions configures OptimizePipelineProbed's sampling.

@@ -1,8 +1,9 @@
 // Command adaptive demonstrates the adaptive streaming runtime: the same
 // pipeline runs once with the static streaming executor and once with
 // ExecConfig.Adaptive, and the side-input overlap scenario shows the
-// wall-clock difference buffering buys under a deterministic latency
-// model. See examples/adaptive/README.md for the walkthrough.
+// wall-clock difference buffering buys over the sequential reference
+// under a deterministic latency model. See examples/adaptive/README.md
+// for the walkthrough.
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 		}
 		counting := llm.NewCounting(sim.NewNamed("sim-gpt-3.5-turbo"))
 		res, err := p.Run(ctx, pipeline.ExecConfig{
-			Model: counting, Adaptive: adaptive, ChunkMin: 1, ChunkMax: 4, Parallelism: 8,
+			Model: counting, Adaptive: adaptive, Parallelism: 8,
 		}, tables)
 		if err != nil {
 			log.Fatal(err)
@@ -56,13 +57,14 @@ func main() {
 	}
 
 	// The overlap scenario: a slow feed joins against another stage's
-	// output. Drain-first waits for the whole feed; the adaptive runtime
-	// buffers and starts matching the moment the side table lands.
+	// output. The sequential reference waits for the whole feed; the
+	// streaming executor buffers and starts matching the moment the side
+	// table lands.
 	overlap, err := experiments.OverlapScenario(ctx, 15*time.Millisecond)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("overlap scenario: drain-first %s vs adaptive overlap %s (%d matches, identical: %v)\n",
-		overlap.DrainFirst.Round(time.Millisecond), overlap.Overlap.Round(time.Millisecond),
+	fmt.Printf("overlap scenario: sequential %s vs streaming overlap %s (%d matches, identical: %v)\n",
+		overlap.Sequential.Round(time.Millisecond), overlap.Overlap.Round(time.Millisecond),
 		overlap.Matches, overlap.Identical)
 }

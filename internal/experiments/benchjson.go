@@ -101,6 +101,9 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 		name string
 		spec pipeline.Spec
 		cfg  pipeline.ExecConfig
+		// naive runs the spec through the sequential reference
+		// (RunSequential) instead of the streaming executor.
+		naive bool
 		// feed runs the configuration as a standing query: the source
 		// table shrinks to static and the feed records arrive mid-run on
 		// ExecConfig.Feed (the scenario harness's workload shape). Serial
@@ -111,8 +114,7 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 	source := tables["source"]
 	half := len(source) / 2
 	configs := []config{
-		{name: "pipeline-naive", spec: spec, cfg: pipeline.ExecConfig{Parallelism: 16, Isolated: true, Materialized: true}},
-		{name: "pipeline-optimized-materialized", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 16, Batch: 8, Materialized: true}},
+		{name: "pipeline-naive", spec: spec, cfg: pipeline.ExecConfig{Parallelism: 16}, naive: true},
 		{name: "pipeline-optimized-streaming", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 16, Batch: 8}},
 		{name: "pipeline-adaptive", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 16, Batch: 8, Adaptive: true}},
 		{name: "scenario-standing-query", spec: optimized, cfg: pipeline.ExecConfig{Parallelism: 1, Chunk: 1},
@@ -132,10 +134,7 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 		counting := llm.NewCounting(sim.NewNamed("sim-gpt-3.5-turbo"))
 		layer := workflow.NewExecLayer()
 		cfg := c.cfg
-		cfg.Model = counting
-		if !cfg.Isolated {
-			cfg.Exec = layer
-		}
+		cfg.Model, cfg.Exec = counting, layer
 		// Counters are snapshotted after the first (cold) iteration so
 		// they describe one run of the workload and stay comparable across
 		// reports generated with different -iters; only ns/op averages
@@ -160,7 +159,12 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 				}()
 				runCfg.Feed = feed
 			}
-			if _, err := p.Run(ctx, runCfg, runTables); err != nil {
+			if c.naive {
+				_, err = p.RunSequential(ctx, pipeline.SequentialConfig{Model: counting, Parallelism: cfg.Parallelism}, runTables)
+			} else {
+				_, err = p.Run(ctx, runCfg, runTables)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("bench %s: %w", c.name, err)
 			}
 			if i == 0 {

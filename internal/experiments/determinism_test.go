@@ -45,23 +45,25 @@ type batchFingerprint struct {
 }
 
 // TestBatchCompositionDeterministic pins that which unit tasks share an
-// envelope, and in which order, is a function of the input alone: the
-// BENCH optimized materialized configuration, run 50 times at each of
-// GOMAXPROCS 1, 2 and 4, issues identical envelope prompts, envelope and
-// solo-retry counts, calls and tokens. (Streaming runs are not pinned:
-// their micro-batch boundaries follow how far the upstream stage has
-// got, see pipeline's nextChunk.)
+// envelope, and in which order, is a function of the input alone: a
+// batched run of barrier stages over the BENCH workload (its resolve,
+// then a per-item count with its filter's predicate), run 50 times at
+// each of GOMAXPROCS 1, 2 and 4, issues identical envelope prompts,
+// envelope and solo-retry counts, calls and tokens. A barrier stage hands
+// its operator the whole input table, so every fan-out is fixed by the
+// input. (Per-record streaming stages are not pinned: their micro-batch
+// boundaries follow how far the upstream stage has got, see pipeline's
+// nextChunk. The sequential reference is not either: it never batches.)
 func TestBatchCompositionDeterministic(t *testing.T) {
 	spec, tables := benchWorkload()
-	optimized, _, err := pipeline.Optimize(spec)
+	resolve, filter := spec.Stages[0], spec.Stages[1]
+	p, err := pipeline.Compile(pipeline.Spec{Stages: []pipeline.StageSpec{resolve,
+		{Name: "n", Kind: pipeline.KindCount, Input: resolve.Name, Field: filter.Field,
+			Predicate: filter.Predicate, Strategy: "per-item"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pipeline.Compile(optimized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pipeline.ExecConfig{Parallelism: 16, Batch: 8, Materialized: true}
+	cfg := pipeline.ExecConfig{Parallelism: 16, Batch: 8}
 	run := func(cfg pipeline.ExecConfig) batchFingerprint {
 		rec := &envelopeRecorder{inner: sim.NewNamed("sim-gpt-3.5-turbo")}
 		counting := llm.NewCounting(rec)

@@ -2,8 +2,8 @@
 // (there are four tables and no figures) plus this repository's own
 // studies: the ablations A1–A9, the shared-execution-layer study, the
 // vector-index benchmark, and the pipeline study comparing naive
-// sequential operator invocation against the optimized DAG —
-// materialized and record-streaming with probed selectivities. Each
+// sequential operator invocation against the optimized streaming DAG —
+// with hinted, probed, and adaptively refined selectivities. Each
 // experiment returns structured rows and can render the paper-style
 // text table; cmd/declctl and the root benchmark suite both drive this
 // package.

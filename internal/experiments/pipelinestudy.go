@@ -73,10 +73,10 @@ type PipelineStudyRun struct {
 }
 
 // PipelineStudyResult compares naive sequential operator invocation with
-// the optimized pipeline — materialized with the spec's selectivity
-// hints, record-streaming with probed (measured) selectivities, and the
-// adaptive runtime (self-tuned chunks, mid-run replanning) — on one
-// workload, plus a latency-modelled side-input overlap scenario.
+// the optimized streaming pipeline — with the spec's selectivity hints,
+// with probed (measured) selectivities, and under the adaptive runtime
+// (self-tuned chunks, mid-run replanning) — on one workload, plus a
+// latency-modelled side-input overlap scenario.
 type PipelineStudyResult struct {
 	Naive, Optimized, Streaming, Adaptive PipelineStudyRun
 	// Rewrites is the hint-trusting optimizer's log.
@@ -89,7 +89,7 @@ type PipelineStudyResult struct {
 	// the optimizer promises.
 	Identical bool
 	// StreamingIdentical reports the same equivalence between the
-	// materialized and the streaming+probed configurations.
+	// hint-trusting optimized and the streaming+probed configurations.
 	StreamingIdentical bool
 	// AdaptiveIdentical reports the same equivalence between the
 	// streaming+probed and the adaptive configurations.
@@ -97,19 +97,20 @@ type PipelineStudyResult struct {
 	// CallReduction is naive calls divided by optimized calls.
 	CallReduction float64
 	// Overlap is the side-input overlap scenario: the same join-with-
-	// dynamic-side workload timed drain-first versus adaptively
-	// overlapped, under a deterministic per-call latency model.
+	// dynamic-side workload timed through the sequential reference and
+	// the streaming executor, under a deterministic per-call latency
+	// model.
 	Overlap *OverlapScenarioResult
 }
 
 // OverlapScenarioResult times the side-input overlap scenario.
 type OverlapScenarioResult struct {
-	// DrainFirst is the pre-adaptive executor's wall clock: the join
-	// drains its whole main input, then waits for the side stage.
-	DrainFirst time.Duration
-	// Overlap is the adaptive executor's wall clock on the same workload:
-	// the main input buffers while the side stage materializes, and
-	// matching starts the moment the side table lands.
+	// Sequential is the sequential reference's wall clock: the join runs
+	// only after the slow feed has produced its whole table.
+	Sequential time.Duration
+	// Overlap is the streaming executor's wall clock on the same
+	// workload: the main input buffers while the side stage
+	// materializes, and matching starts the moment the side table lands.
 	Overlap time.Duration
 	// Matches counts the join's output rows (equal in both runs).
 	Matches int
@@ -196,17 +197,17 @@ func pipelineStudyModel(name string) (*llm.CountingModel, error) {
 //     with a fresh isolated engine on whole tables — the cost a user pays
 //     today calling operators one by one;
 //   - optimized: the hint-trusting optimizer's rewritten order (filter
-//     pushed ahead of the quadratic dedupe) on one shared engine — one
-//     execution layer, one index registry, one budget, unit-task
-//     batching — materialized, with per-stage attribution;
+//     pushed ahead of the quadratic dedupe) streamed on one shared
+//     engine — one execution layer, one index registry, one budget,
+//     unit-task batching — with per-stage attribution;
 //   - streaming: the same rewritten plan with the spec's selectivity
 //     hints stripped, so the optimizer *measures* filter selectivity on a
-//     record sample (probe spend attributed under workflow.StageProbe),
-//     executed with record-level streaming between stages.
+//     record sample (probe spend attributed under workflow.StageProbe).
 //
-// At temperature 0 all three produce identical final tables and scalars;
-// the optimized runs spend strictly fewer upstream calls and tokens, and
-// the per-run wall clocks expose what streaming overlap buys.
+// A fourth, adaptive configuration runs the probed plan under the
+// adaptive runtime. At temperature 0 all of them produce identical final
+// tables and scalars; the optimized runs spend strictly fewer upstream
+// calls and tokens than naive.
 func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudyResult, error) {
 	if cfg.Records < 4 {
 		return nil, fmt.Errorf("pipeline study: need at least 4 records, got %d", cfg.Records)
@@ -219,13 +220,20 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 		return nil, fmt.Errorf("pipeline study: optimize: %w", err)
 	}
 
-	runOne := func(label string, s pipeline.Spec, execCfg pipeline.ExecConfig, counting *llm.CountingModel) (PipelineStudyRun, *pipeline.Result, error) {
+	// runOne runs s through the streaming executor under execCfg, or
+	// through the sequential reference when execCfg is nil.
+	runOne := func(label string, s pipeline.Spec, execCfg *pipeline.ExecConfig, counting *llm.CountingModel) (PipelineStudyRun, *pipeline.Result, error) {
 		p, err := pipeline.Compile(s)
 		if err != nil {
 			return PipelineStudyRun{}, nil, fmt.Errorf("compile %s: %w", label, err)
 		}
 		start := time.Now()
-		res, err := p.Run(ctx, execCfg, tables)
+		var res *pipeline.Result
+		if execCfg == nil {
+			res, err = p.RunSequential(ctx, pipeline.SequentialConfig{Model: counting, Parallelism: cfg.Parallelism}, tables)
+		} else {
+			res, err = p.Run(ctx, *execCfg, tables)
+		}
 		if err != nil {
 			return PipelineStudyRun{}, nil, fmt.Errorf("run %s: %w", label, err)
 		}
@@ -245,9 +253,7 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	if err != nil {
 		return nil, err
 	}
-	naive, naiveRes, err := runOne("naive sequential (seed)", spec, pipeline.ExecConfig{
-		Model: naiveModel, Parallelism: cfg.Parallelism, Isolated: true, Materialized: true,
-	}, naiveModel)
+	naive, naiveRes, err := runOne("naive sequential (seed)", spec, nil, naiveModel)
 	if err != nil {
 		return nil, err
 	}
@@ -256,16 +262,15 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	if err != nil {
 		return nil, err
 	}
-	optimized, optRes, err := runOne("optimized pipeline", optSpec, pipeline.ExecConfig{
-		Model: optModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch, Materialized: true,
+	optimized, optRes, err := runOne("optimized pipeline", optSpec, &pipeline.ExecConfig{
+		Model: optModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch,
 	}, optModel)
 	if err != nil {
 		return nil, err
 	}
 
-	// Streaming configuration: strip the filter hints so the optimizer
-	// must measure, share one layer and ledger between probing and the
-	// run, and let records flow between stages.
+	// Probed configuration: strip the filter hints so the optimizer must
+	// measure, and share one layer and ledger between probing and the run.
 	strModel, err := pipelineStudyModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -285,7 +290,7 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	if err != nil {
 		return nil, fmt.Errorf("pipeline study: probed optimize: %w", err)
 	}
-	streaming, strRes, err := runOne("streaming + probed", probedSpec, strCfg, strModel)
+	streaming, strRes, err := runOne("streaming + probed", probedSpec, &strCfg, strModel)
 	if err != nil {
 		return nil, err
 	}
@@ -294,11 +299,10 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	// Adaptive configuration: the same probed plan under the adaptive
 	// runtime — micro-batch widths self-tune, and commutable filter runs
 	// may be re-ordered mid-run. Unit tasks are identical to the streaming
-	// configuration, and flooring the self-tuned width at the streaming
-	// run's fixed chunk makes "adaptive spends at most the streaming
-	// run's calls" structural rather than a timing accident: widths only
-	// grow from there, so batch envelopes pack at least as well even when
-	// a loaded machine's queue waits would otherwise shrink them.
+	// configuration, and the derived width floor, max(Batch, 1), equals
+	// the streaming run's fixed chunk here: widths only grow from there,
+	// so batch envelopes pack at least as well even when a loaded
+	// machine's queue waits would otherwise shrink them.
 	adaModel, err := pipelineStudyModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -307,14 +311,13 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	adaCfg := pipeline.ExecConfig{
 		Model: adaModel, Parallelism: cfg.Parallelism, Batch: cfg.Batch,
 		Exec: workflow.NewExecLayer(), Attribution: adaAttr, Adaptive: true,
-		ChunkMin: max(cfg.Batch, 8),
 	}
 	adaSpec, _, err := pipeline.OptimizeProbed(ctx, hintless, adaCfg, tables,
 		pipeline.ProbeOptions{Sample: cfg.ProbeSample})
 	if err != nil {
 		return nil, fmt.Errorf("pipeline study: adaptive probed optimize: %w", err)
 	}
-	adaptive, adaRes, err := runOne("adaptive runtime", adaSpec, adaCfg, adaModel)
+	adaptive, adaRes, err := runOne("adaptive runtime", adaSpec, &adaCfg, adaModel)
 	if err != nil {
 		return nil, err
 	}
@@ -353,14 +356,14 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 
 // OverlapScenario times what side-input overlap buys on a workload built
 // to expose it: a slow filter feeds a nested-loop join whose right side
-// is another stage's output. Drain-first (the pre-adaptive executor)
-// makes the join consume its whole main input before matching anything;
-// the adaptive runtime buffers the main input while the side stage
-// materializes and starts matching the moment the side table lands, so
-// join work pipelines with the slow feed. Latency is deterministic — a
-// fixed per-call delay on the feed predicate and the join comparisons
+// is another stage's output. The sequential reference runs the join only
+// after the feed has produced its whole table; the streaming executor
+// buffers the join's main input while the side stage materializes and
+// starts matching the moment the side table lands, so join work
+// pipelines with the slow feed. Latency is deterministic — a fixed
+// per-call delay on the feed predicate and the join comparisons
 // (llm.WithLatency), with the side filter answering instantly — so the
-// structural gap, roughly 1.6x on this shape, dwarfs scheduling noise.
+// structural gap dwarfs scheduling noise.
 func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenarioResult, error) {
 	if latency <= 0 {
 		latency = 15 * time.Millisecond
@@ -418,42 +421,30 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 			return slow.Complete(ctx, req)
 		}}
 	}
-	run := func(adaptive bool) (time.Duration, []dataset.Record, error) {
-		p, err := pipeline.Compile(spec)
-		if err != nil {
-			return 0, nil, err
-		}
-		// Single-record chunks keep every stage's work serial so the
-		// latency model is legible; the adaptive run expresses that
-		// through the chunk bounds (leaving the inter-stage buffers at
-		// their default width, so the fast side filter is never throttled
-		// to the slow feed's pace by a one-slot channel).
-		cfg := pipeline.ExecConfig{Model: newModel(), Parallelism: 1}
-		if adaptive {
-			cfg.Adaptive, cfg.ChunkMin, cfg.ChunkMax = true, 1, 1
-		} else {
-			cfg.Chunk = 1
-		}
-		start := time.Now()
-		res, err := p.Run(ctx, cfg, tables)
-		if err != nil {
-			return 0, nil, err
-		}
-		return time.Since(start), res.Tables["match"], nil
-	}
-	drainClock, drainMatches, err := run(false)
+	p, err := pipeline.Compile(spec)
 	if err != nil {
 		return nil, err
 	}
-	overlapClock, overlapMatches, err := run(true)
+	start := time.Now()
+	seq, err := p.RunSequential(ctx, pipeline.SequentialConfig{Model: newModel(), Parallelism: 1}, tables)
+	if err != nil {
+		return nil, err
+	}
+	seqClock := time.Since(start)
+	// Two-record chunks make the slow feed hand records downstream while
+	// it works. The source reaches the side filter through the same
+	// feeder, so the feed's channel paces the side filter too; two slots
+	// let the side table land well before the feed is done.
+	start = time.Now()
+	res, err := p.Run(ctx, pipeline.ExecConfig{Model: newModel(), Parallelism: 1, Chunk: 2}, tables)
 	if err != nil {
 		return nil, err
 	}
 	return &OverlapScenarioResult{
-		DrainFirst: drainClock,
-		Overlap:    overlapClock,
-		Matches:    len(overlapMatches),
-		Identical:  reflect.DeepEqual(drainMatches, overlapMatches),
+		Sequential: seqClock,
+		Overlap:    time.Since(start),
+		Matches:    len(res.Tables["match"]),
+		Identical:  reflect.DeepEqual(seq.Tables["match"], res.Tables["match"]),
 	}, nil
 }
 
@@ -480,8 +471,8 @@ func FormatPipelineStudy(res *PipelineStudyResult) string {
 	fmt.Fprintf(&b, "probe calls: %d of the streaming run's %d (hint-trusting optimized run: 0)\n",
 		res.Streaming.ProbeCalls, res.Streaming.UpstreamCalls)
 	if res.Overlap != nil {
-		fmt.Fprintf(&b, "overlap scenario: drain-first %s vs adaptive overlap %s on %d matches (identical: %v)\n",
-			res.Overlap.DrainFirst.Round(time.Millisecond), res.Overlap.Overlap.Round(time.Millisecond),
+		fmt.Fprintf(&b, "overlap scenario: sequential %s vs streaming overlap %s on %d matches (identical: %v)\n",
+			res.Overlap.Sequential.Round(time.Millisecond), res.Overlap.Overlap.Round(time.Millisecond),
 			res.Overlap.Matches, res.Overlap.Identical)
 	}
 	b.WriteString("per-stage attribution (adaptive runtime):\n")

@@ -11,91 +11,55 @@ import (
 	"repro/internal/workflow"
 )
 
-// The adaptive streaming runtime (ExecConfig.Adaptive) tunes a running
-// plan from live observations, in three coordinated pieces:
+// The adaptive runtime (ExecConfig.Adaptive) tunes a running plan from
+// live observations, in two pieces:
 //
-//   - adaptive chunk sizing: each stage's micro-batch width self-tunes
-//     between ChunkMin and ChunkMax from the observed balance of queue
+//   - self-tuned chunk widths: each stage's micro-batch width moves
+//     between a floor and a ceiling from the observed balance of queue
 //     wait (blocked assembling input) versus service time (processing a
-//     chunk), instead of the fixed Chunk knob;
-//   - side-input overlap: a streamable stage with a dynamic side input
-//     buffers its main input in a spillable spool while the side stage
-//     materializes, then streams — instead of draining first (execute.go);
+//     chunk), instead of holding the fixed default;
 //   - mid-run re-optimization: runs of adjacent commutable filter stages
 //     execute as one segment whose internal order is revised at chunk
 //     boundaries as observed keep rates refine the optimizer's probed or
 //     hinted selectivity estimates (this file).
 //
-// All three leave temperature-0 results byte-identical to the fixed plan;
+// Both leave temperature-0 results byte-identical to the fixed plan;
 // they only change when work happens and how much of it there is.
 
-// chunker decides the next micro-batch width for one stage's stream and
-// learns from how each chunk went. Implementations are owned by a single
-// stage goroutine and need no locking.
-type chunker interface {
-	// size returns the width the next chunk should aim for.
-	size() int
-	// observe reports one processed chunk: how long the stage was blocked
-	// assembling it (wait), how long processing plus downstream emission
-	// took (service), and how many records it carried.
-	observe(wait, service time.Duration, records int)
-}
-
-// fixedChunker is the pre-adaptive behaviour: a constant width.
-type fixedChunker int
-
-func (c fixedChunker) size() int                         { return int(c) }
-func (c fixedChunker) observe(_, _ time.Duration, _ int) {}
-
-// chunkBalanceFactor is the dead band of the adaptive width controller: a
-// chunk grows only when service time dominates queue wait by this factor
+// chunkBalanceFactor is the dead band of the width controller: a chunk
+// grows only when service time dominates queue wait by this factor
 // (input is plentiful — amortize per-chunk overhead over more records),
 // and shrinks only when wait dominates service by the same factor (the
 // stage is starved — hand records downstream sooner rather than idling to
 // fill a wide chunk). In between, the width holds steady.
 const chunkBalanceFactor = 4
 
-// adaptiveChunker doubles or halves the width between floor and ceiling
-// based on the wait/service balance. Temperature-0 results are identical
-// for every width sequence (chunked stages are per-record), so the
-// controller is free to chase throughput without a correctness cost.
-type adaptiveChunker struct {
+// chunker decides one stage's micro-batch width: it doubles or halves
+// the width between floor (min) and ceiling (max) based on the
+// wait/service balance, so with min == max the width is fixed.
+// Temperature-0 results are identical for every width sequence (chunked
+// stages are per-record), so the controller is free to chase throughput
+// without a correctness cost. A chunker is owned by a single stage
+// goroutine and needs no locking.
+type chunker struct {
 	min, max, cur int
 }
 
-func newAdaptiveChunker(min, max, start int) *adaptiveChunker {
-	if min <= 0 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	if start < min {
-		start = min
-	}
-	if start > max {
-		start = max
-	}
-	return &adaptiveChunker{min: min, max: max, cur: start}
-}
+// size returns the width the next chunk should aim for.
+func (c *chunker) size() int { return c.cur }
 
-func (c *adaptiveChunker) size() int { return c.cur }
-
-func (c *adaptiveChunker) observe(wait, service time.Duration, records int) {
+// observe reports one processed chunk: how long the stage was blocked
+// assembling it (wait), how long processing plus downstream emission
+// took (service), and how many records it carried.
+func (c *chunker) observe(wait, service time.Duration, records int) {
 	if records == 0 {
 		return
 	}
 	switch {
 	case wait*chunkBalanceFactor < service && c.cur < c.max:
-		c.cur *= 2
-		if c.cur > c.max {
-			c.cur = c.max
-		}
+		c.cur = min(c.cur*2, c.max)
 	case service*chunkBalanceFactor < wait && c.cur > c.min:
-		c.cur /= 2
-		if c.cur < c.min {
-			c.cur = c.min
-		}
+		c.cur = max(c.cur/2, c.min)
 	}
 }
 
@@ -241,8 +205,8 @@ func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, cf
 		}
 	}()
 	up := outs[members[0].spec.Input]
-	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables,
-		chunk: cfg.newChunker(), run: state}
+	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables,
+		chunk: cfg.widths(), run: state}
 	// One timing ledger per member: each filter's service time and record
 	// flow land under its own stage name, chunk-assembly wait under
 	// whichever member ran first (it is the one actually blocked on

@@ -58,7 +58,7 @@ func TestRecordSpoolSpill(t *testing.T) {
 // chunks grow toward the ceiling, wait-dominated chunks shrink toward
 // the floor, and a balanced load holds steady.
 func TestAdaptiveChunkerTunes(t *testing.T) {
-	c := newAdaptiveChunker(2, 32, 8)
+	c := &chunker{min: 2, max: 32, cur: 8}
 	for i := 0; i < 10; i++ {
 		c.observe(time.Millisecond, 100*time.Millisecond, c.size())
 	}
@@ -79,6 +79,45 @@ func TestAdaptiveChunkerTunes(t *testing.T) {
 	c.observe(0, 0, 0) // empty chunk: no evidence, no move
 	if c.size() != before {
 		t.Fatal("empty chunk moved the width")
+	}
+}
+
+// TestWidthResolution pins the derived width policy: the fixed default
+// is max(Batch, 8) with floor == ceiling (and the ceiling sizes the
+// inter-stage channels, so the default capacity is 8); a positive Chunk
+// pins the width even under Adaptive; and the adaptive floor is
+// max(Batch, 1) — starved observations never push the target width
+// below one envelope's worth of records.
+func TestWidthResolution(t *testing.T) {
+	for _, tc := range []struct {
+		cfg                ExecConfig
+		floor, start, ceil int
+	}{
+		{ExecConfig{}, 8, 8, 8},
+		{ExecConfig{Batch: 8}, 8, 8, 8},
+		{ExecConfig{Batch: 16}, 16, 16, 16},
+		{ExecConfig{Chunk: 3, Batch: 8, Adaptive: true}, 3, 3, 3},
+		{ExecConfig{Batch: 8, Adaptive: true}, 8, 8, 64},
+		{ExecConfig{Adaptive: true}, 1, 8, 64},
+		{ExecConfig{Batch: 100, Adaptive: true}, 100, 100, 100},
+	} {
+		c := tc.cfg.widths()
+		if c.min != tc.floor || c.size() != tc.start || c.max != tc.ceil {
+			t.Errorf("%+v: widths = floor %d start %d ceiling %d, want %d %d %d",
+				tc.cfg, c.min, c.size(), c.max, tc.floor, tc.start, tc.ceil)
+		}
+	}
+	for _, tc := range []struct{ batch, floor int }{{8, 8}, {0, 1}} {
+		c := ExecConfig{Batch: tc.batch, Adaptive: true}.widths()
+		for i := 0; i < 10; i++ {
+			c.observe(100*time.Millisecond, time.Millisecond, c.size())
+			if c.size() < tc.floor {
+				t.Fatalf("Batch %d: starved width fell to %d, below the floor %d", tc.batch, c.size(), tc.floor)
+			}
+		}
+		if c.size() != tc.floor {
+			t.Fatalf("Batch %d: starved width settled at %d, want the floor %d", tc.batch, c.size(), tc.floor)
+		}
 	}
 }
 
@@ -124,9 +163,9 @@ func TestAdaptiveSegments(t *testing.T) {
 
 // TestAdaptiveMatchesMaterialized is the tentpole property test: on the
 // sim model, an adaptive run — self-tuned chunks, segment replanning —
-// produces byte-identical final tables and scalars to a materialized run
-// and to fixed-chunk streaming runs at widths 1, 3, and 16, across
-// several adaptive bounds.
+// produces byte-identical final tables and scalars to the materialized
+// sequential reference (RunSequential) and to fixed-chunk streaming runs
+// at widths 1, 3, and 16, across the width ranges Batch derives.
 func TestAdaptiveMatchesMaterialized(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 14, Train: 30, Seed: 9}.Tables()
 	for i, r := range tables["source"] {
@@ -142,12 +181,12 @@ func TestAdaptiveMatchesMaterialized(t *testing.T) {
 		{Name: "city", Kind: KindImpute, TargetField: "city", Side: "train", Strategy: "hybrid", Neighbors: 3, Examples: 2},
 		{Name: "n", Kind: KindCount, Field: "city", Predicate: "q", Strategy: "per-item"},
 	}}
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(cfg ExecConfig) *Result {
 		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg.Model = sim.NewNamed("sim-gpt-3.5-turbo")
 		res, err := p.Run(context.Background(), cfg, tables)
 		if err != nil {
@@ -155,48 +194,44 @@ func TestAdaptiveMatchesMaterialized(t *testing.T) {
 		}
 		return res
 	}
-	want := run(ExecConfig{Materialized: true})
+	want, err := p.RunSequential(context.Background(), SequentialConfig{Model: sim.NewNamed("sim-gpt-3.5-turbo")}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, chunk := range []int{1, 3, 16} {
 		got := run(ExecConfig{Chunk: chunk})
 		if !reflect.DeepEqual(want.Tables, got.Tables) || !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("fixed chunk %d differs from materialized", chunk)
+			t.Fatalf("fixed chunk %d differs from the sequential reference", chunk)
 		}
 	}
-	// An inverted floor/ceiling is rejected up front, not silently
-	// clamped to the floor.
-	{
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := ExecConfig{Adaptive: true, ChunkMin: 32, ChunkMax: 8, Model: sim.NewNamed("sim-gpt-3.5-turbo")}
-		if _, err := p.Run(context.Background(), cfg, tables); err == nil || !strings.Contains(err.Error(), "ChunkMin") {
-			t.Fatalf("ChunkMin > ChunkMax accepted: err = %v", err)
-		}
-	}
-	for _, bounds := range [][2]int{{0, 0}, {1, 4}, {2, 64}, {16, 16}} {
-		got := run(ExecConfig{Adaptive: true, ChunkMin: bounds[0], ChunkMax: bounds[1]})
+	// Batch 0 tunes widths over [1, 64], Batch 2 over [2, 64], Batch 16
+	// over [16, 64]; Chunk 16 pins the width under Adaptive.
+	for _, cfg := range []ExecConfig{
+		{Adaptive: true}, {Adaptive: true, Batch: 2}, {Adaptive: true, Batch: 16}, {Adaptive: true, Chunk: 16},
+	} {
+		got := run(cfg)
 		// Segment-internal tables may legitimately differ when the order
 		// was revised mid-run; everything downstream of the segment — and
 		// the segment's own output — must be byte-identical.
 		for _, stage := range []string{"entities", "named", "city", "n"} {
 			if !reflect.DeepEqual(want.Tables[stage], got.Tables[stage]) {
-				t.Fatalf("adaptive bounds %v: stage %q table differs from materialized", bounds, stage)
+				t.Fatalf("adaptive batch %d chunk %d: stage %q table differs from the sequential reference",
+					cfg.Batch, cfg.Chunk, stage)
 			}
 		}
 		if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("adaptive bounds %v: scalars %v != %v", bounds, got.Scalars, want.Scalars)
+			t.Fatalf("adaptive batch %d chunk %d: scalars %v != %v", cfg.Batch, cfg.Chunk, got.Scalars, want.Scalars)
 		}
 	}
 }
 
-// TestAdaptiveSideInputOverlap is the overlap contract: with Adaptive
-// set, a streamable join whose right side is an earlier stage's output
-// starts matching buffered main-input records as soon as the side table
-// lands — while the main-input producer is still working. The model
-// blocks the producer's last record until a join comparison arrives; the
-// drain-first path would deadlock here (guarded by a timeout), exactly
-// like the plain streaming overlap test.
+// TestAdaptiveSideInputOverlap is the overlap contract, with Adaptive
+// off and on alike: a streamable join whose right side is an earlier
+// stage's output starts matching buffered main-input records as soon as
+// the side table lands — while the main-input producer is still working.
+// The model blocks the producer's last record until a join comparison
+// arrives; a drain-first join would deadlock here (guarded by a
+// timeout), exactly like the plain streaming overlap test.
 func TestAdaptiveSideInputOverlap(t *testing.T) {
 	names := dataset.FlavorNames()
 	// splitModel: "poolpred" keeps even-indexed flavors, "feedpred" keeps
@@ -229,24 +264,6 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 			return unit("Yes"), nil
 		}}
 	}
-	release := make(chan struct{})
-	var joins atomic.Int32
-	gate := func(ctx context.Context) error {
-		select {
-		case <-release:
-			return nil
-		case <-time.After(10 * time.Second):
-			t.Error("feed's last record ran before any join comparison: side materialization did not overlap the main path")
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	onJoin := func() {
-		if joins.Add(1) == 1 {
-			close(release)
-		}
-	}
 	spec := Spec{Stages: []StageSpec{
 		{Name: "pool", Kind: KindFilter, Field: "name", Predicate: "poolpred", Input: "source"},
 		{Name: "feed", Kind: KindFilter, Field: "name", Predicate: "feedpred", Input: "source"},
@@ -256,34 +273,44 @@ func TestAdaptiveSideInputOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(context.Background(), ExecConfig{
-		Model: splitModel("overlap-side", gate, onJoin), Adaptive: true, Chunk: 1, Parallelism: 1,
-	}, flavorTables(4))
+	// Equivalence: the overlapped run must match the sequential reference
+	// of the same spec record for record.
+	seq, err := p.RunSequential(context.Background(), SequentialConfig{Model: splitModel("calm", nil, nil)}, flavorTables(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tables["match"]) != 4 {
-		t.Fatalf("match table has %d rows, want 2x2", len(res.Tables["match"]))
-	}
-
-	// Equivalence: the overlapped run must match the barrier (drain-first)
-	// run of the same spec record for record.
-	runWith := func(adaptive bool) []dataset.Record {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
+	for _, adaptive := range []bool{false, true} {
+		release := make(chan struct{})
+		var joins atomic.Int32
+		gate := func(ctx context.Context) error {
+			select {
+			case <-release:
+				return nil
+			case <-time.After(10 * time.Second):
+				t.Errorf("adaptive %v: feed's last record ran before any join comparison: side materialization did not overlap the main path", adaptive)
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		onJoin := func() {
+			if joins.Add(1) == 1 {
+				close(release)
+			}
 		}
 		res, err := p.Run(context.Background(), ExecConfig{
-			Model: splitModel("calm", nil, nil), Adaptive: adaptive, Chunk: 1,
+			Model: splitModel("overlap-side", gate, onJoin), Adaptive: adaptive, Chunk: 1, Parallelism: 1,
 		}, flavorTables(4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Tables["match"]
-	}
-	if want, got := runWith(false), runWith(true); !reflect.DeepEqual(want, got) {
-		t.Fatalf("overlapped side join differs from drain-first:\nwant %v\ngot  %v", want, got)
+		if len(res.Tables["match"]) != 4 {
+			t.Fatalf("adaptive %v: match table has %d rows, want 2x2", adaptive, len(res.Tables["match"]))
+		}
+		if want, got := seq.Tables["match"], res.Tables["match"]; !reflect.DeepEqual(want, got) {
+			t.Fatalf("adaptive %v: overlapped side join differs from the sequential reference:\nwant %v\ngot  %v",
+				adaptive, want, got)
+		}
 	}
 }
 
@@ -321,19 +348,21 @@ func TestAdaptiveSideOverlapFailureNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Chunk: 1, Parallelism: 1}, flavorTables(6))
-	if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
-		t.Fatalf("err = %v, want the join stage's root cause", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d before run, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
+	for _, adaptive := range []bool{false, true} {
+		_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: adaptive, Chunk: 1, Parallelism: 1}, flavorTables(6))
+		if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
+			t.Fatalf("adaptive %v: err = %v, want the join stage's root cause", adaptive, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if n := runtime.NumGoroutine(); n <= before {
+				break
+			} else if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("adaptive %v: goroutines leaked: %d before run, %d after\n%s", adaptive, before, n, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 
@@ -373,19 +402,21 @@ func TestAdaptiveSideOverlapSpillFailureNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: true, Chunk: 1, Parallelism: 1}, flavorTables(8))
-	if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
-		t.Fatalf("err = %v, want the join stage's root cause", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d before run, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
+	for _, adaptive := range []bool{false, true} {
+		_, err = p.Run(context.Background(), ExecConfig{Model: model, Adaptive: adaptive, Chunk: 1, Parallelism: 1}, flavorTables(8))
+		if err == nil || !strings.Contains(err.Error(), "join comparison explosion") || !strings.Contains(err.Error(), `"match"`) {
+			t.Fatalf("adaptive %v: err = %v, want the join stage's root cause", adaptive, err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if n := runtime.NumGoroutine(); n <= before {
+				break
+			} else if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("adaptive %v: goroutines leaked: %d before run, %d after\n%s", adaptive, before, n, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 
@@ -448,24 +479,6 @@ func TestMidRunReplanReordersFilters(t *testing.T) {
 		t.Fatalf("static run's loose filter evaluated %d, want all %d", st.In, n)
 	}
 
-	// Isolated keeps per-stage engines, which a segment would share —
-	// the same adaptive run under Isolated must not form one.
-	p, err := Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iso, err := p.Run(context.Background(), ExecConfig{
-		Model: model, Adaptive: true, Isolated: true, Chunk: 1, Parallelism: 1,
-	}, flavorTables(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(static.Tables["tight"], iso.Tables["tight"]) {
-		t.Fatalf("isolated adaptive output differs from static: %v", iso.Tables["tight"])
-	}
-	if d := stageByName(t, iso, "tight").Detail; strings.Contains(d, "adaptive segment") {
-		t.Fatalf("isolated run formed a segment: detail = %q", d)
-	}
 }
 
 func stageByName(t *testing.T, res *Result, name string) StageReport {

@@ -47,11 +47,20 @@ func benchRun(b *testing.B, spec Spec, cfg ExecConfig) {
 }
 
 // BenchmarkPipelineNaive is the seed behaviour: user stage order, one
-// isolated engine per stage, whole-table handoff.
+// fresh engine per stage, whole-table handoff (RunSequential).
 func BenchmarkPipelineNaive(b *testing.B) {
-	benchRun(b, benchSpec(), ExecConfig{
-		Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16, Isolated: true, Materialized: true,
-	})
+	p, err := Compile(benchSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables := benchTables(b)
+	cfg := SequentialConfig{Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.RunSequential(context.Background(), cfg, tables); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkPipelineOptimized runs the optimizer's rewritten plan on one
@@ -63,19 +72,6 @@ func BenchmarkPipelineOptimized(b *testing.B) {
 	}
 	benchRun(b, spec, ExecConfig{
 		Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16, Batch: 8,
-	})
-}
-
-// BenchmarkPipelineOptimizedMaterialized is the same plan with streaming
-// disabled — the wall-clock delta against BenchmarkPipelineOptimized is
-// what record-level streaming buys (or costs) on this workload.
-func BenchmarkPipelineOptimizedMaterialized(b *testing.B) {
-	spec, _, err := Optimize(benchSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchRun(b, spec, ExecConfig{
-		Model: sim.NewNamed("sim-gpt-3.5-turbo"), Parallelism: 16, Batch: 8, Materialized: true,
 	})
 }
 

@@ -55,9 +55,9 @@ type ExecConfig struct {
 	// Feed turns the run into a standing query: records received on the
 	// channel join the stream behind the static "source" table, in arrival
 	// order, while the pipeline is already executing — per-record stages
-	// re-evaluate incrementally chunk by chunk (reusing the adaptive
-	// chunker and, on the side-input overlap path, the spillable spool),
-	// and barrier stages simply see the longer stream. Run returns only
+	// re-evaluate incrementally chunk by chunk (reusing the width policy
+	// and, on the side-input overlap path, the spillable spool), and
+	// barrier stages simply see the longer stream. Run returns only
 	// after Feed is closed and fully drained, so the caller must feed and
 	// close the channel from another goroutine. Temperature-0 results
 	// after full ingestion are byte-identical to a batch run whose source
@@ -79,41 +79,20 @@ type ExecConfig struct {
 	Batch int
 	// Parallelism bounds concurrent LLM calls per operator (default 8).
 	Parallelism int
-	// Chunk bounds the records per streaming micro-batch (default
-	// max(Batch, 8)). Larger chunks amortize per-invocation overhead;
-	// smaller ones hand records downstream sooner. A positive Chunk
-	// always forces that fixed width, even under Adaptive.
+	// Chunk pins the records per streaming micro-batch, even under
+	// Adaptive. Larger chunks amortize per-invocation overhead; smaller
+	// ones hand records downstream sooner. 0 takes the default width,
+	// max(Batch, 8), which Adaptive may tune.
 	Chunk int
-	// Adaptive enables the adaptive streaming runtime: per-stage
-	// micro-batch widths self-tune between ChunkMin and ChunkMax from
-	// observed service time versus queue wait (unless Chunk pins them), a
-	// streamable stage with a dynamic side input overlaps its main path
-	// with the side stage's materialization through a spillable buffer
-	// instead of draining first, and runs of adjacent commutable filter
-	// stages may be re-ordered at chunk boundaries as observed
+	// Adaptive lets the running plan tune itself from live observations:
+	// with Chunk unset, each stage's micro-batch width self-tunes from
+	// observed service time versus queue wait between a floor of
+	// max(Batch, 1) — no narrower chunk can pack envelopes better — and a
+	// ceiling of max(64, default width); and runs of adjacent commutable
+	// filter stages may be re-ordered at chunk boundaries as observed
 	// selectivities refine the optimizer's estimates. Temperature-0
-	// results are identical either way. A no-op under Materialized;
-	// Isolated keeps per-stage engines, so it disables the segment
-	// re-ordering (which would share one engine across members) while
-	// chunk self-tuning and side-input overlap still apply.
+	// results are identical either way.
 	Adaptive bool
-	// ChunkMin and ChunkMax bound the adaptive chunk width (defaults 1
-	// and 64). Setting both with ChunkMin > ChunkMax is rejected at Run;
-	// a floor alone above the default ceiling raises the ceiling to
-	// match, pinning that width. Ignored unless Adaptive is set and
-	// Chunk is 0.
-	ChunkMin, ChunkMax int
-	// Materialized disables record-level streaming: every stage drains its
-	// whole input before running — the pre-streaming executor behaviour.
-	// Temperature-0 results are identical either way; the flag exists for
-	// the streaming-vs-materialized wall-clock comparison in the
-	// experiments.
-	Materialized bool
-	// Isolated reproduces naive sequential operator invocation: a fresh
-	// engine per stage, each with the default private per-invocation
-	// cache and no shared layer, registry, or batching. The experiments
-	// use it as the baseline the optimized pipeline is measured against.
-	Isolated bool
 	// Resilience, when non-nil, wraps the model with a retry / backoff /
 	// hedging / circuit-breaker policy for the run. The wrapper sits below
 	// the budget, attribution, batcher, and cache, so callers above see
@@ -133,77 +112,32 @@ type ExecConfig struct {
 	OnRecordError string
 }
 
-// chunkSize resolves the streaming micro-batch width.
-func (cfg ExecConfig) chunkSize() int {
-	if cfg.Chunk > 0 {
-		return cfg.Chunk
+// widths resolves one stage's micro-batch width policy. The default
+// width is max(Batch, 8) and a positive Chunk pins it; only Adaptive with
+// Chunk unset opens a tuning range, from max(Batch, 1) up to max(64,
+// default). A fixed width is just floor == ceiling. The ceiling also
+// sizes every inter-stage channel, so a grown chunk can actually fill
+// from the buffer.
+func (cfg ExecConfig) widths() chunker {
+	width := cfg.Chunk
+	if width <= 0 {
+		width = max(cfg.Batch, 8)
 	}
-	if cfg.Batch > 8 {
-		return cfg.Batch
+	if !cfg.Adaptive || cfg.Chunk > 0 {
+		return chunker{min: width, max: width, cur: width}
 	}
-	return 8
+	return chunker{min: max(cfg.Batch, 1), max: max(64, width), cur: width}
 }
 
-// chunkBounds resolves the adaptive width floor and ceiling. The default
-// ceiling never sits below the fixed-width default (max(Batch, 8)): a
-// large Batch must stay reachable, or adaptive runs would pack envelopes
-// worse than fixed streaming ever could. Explicitly conflicting bounds
-// were rejected at Run, so max < min here means only the floor was set
-// and it clears the default ceiling — the ceiling rises to match.
-func (cfg ExecConfig) chunkBounds() (min, max int) {
-	min, max = cfg.ChunkMin, cfg.ChunkMax
-	if min <= 0 {
-		min = 1
-	}
-	if max <= 0 {
-		max = 64
-		if cs := cfg.chunkSize(); cs > max {
-			max = cs
-		}
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
-}
-
-// adaptiveChunking reports whether stage widths self-tune this run: a
-// positive Chunk still forces a fixed size, and Materialized disables
-// streaming (and with it the whole adaptive runtime).
-func (cfg ExecConfig) adaptiveChunking() bool {
-	return cfg.Adaptive && cfg.Chunk == 0 && !cfg.Materialized
-}
-
-// newChunker builds one stage's micro-batch width policy.
-func (cfg ExecConfig) newChunker() chunker {
-	if !cfg.adaptiveChunking() {
-		return fixedChunker(cfg.chunkSize())
-	}
-	min, max := cfg.chunkBounds()
-	return newAdaptiveChunker(min, max, cfg.chunkSize())
-}
-
-// chunkCap sizes each inter-stage channel: the widest chunk the run may
-// assemble, so a grown adaptive chunk can actually fill from the buffer.
-func (cfg ExecConfig) chunkCap() int {
-	if cfg.adaptiveChunking() {
-		_, max := cfg.chunkBounds()
-		if max > cfg.chunkSize() {
-			return max
-		}
-	}
-	return cfg.chunkSize()
-}
-
-// runtime binds one run's shared machinery: the budget, the attribution
-// ledger, and the engine factory (one shared engine unless Isolated).
+// execRuntime binds one run's shared machinery: the budget, the
+// attribution ledger, and the one engine every stage runs on.
 // OptimizeProbed builds the same runtime from the same config so probes
 // run through the very cache and ledger the run will use.
 type execRuntime struct {
-	budget    *workflow.Budget
-	attr      *workflow.Attribution
-	resil     *resil.Model // non-nil when cfg.Resilience wrapped the model
-	engineFor func() *core.Engine
+	budget *workflow.Budget
+	attr   *workflow.Attribution
+	resil  *resil.Model // non-nil when cfg.Resilience wrapped the model
+	engine *core.Engine
 }
 
 // flushResil folds the run's resilience activity into the ledger and
@@ -227,6 +161,19 @@ func (rt *execRuntime) flushResil() workflow.ResilienceStats {
 	return delta
 }
 
+// engineOptions are the options every engine of a run shares: the
+// budget and ledger, plus the parallelism and embedder overrides.
+func engineOptions(budget *workflow.Budget, attr *workflow.Attribution, parallelism int, embedder embed.Embedder) []core.Option {
+	opts := []core.Option{core.WithBudget(budget), core.WithAttribution(attr)}
+	if parallelism > 0 {
+		opts = append(opts, core.WithParallelism(parallelism))
+	}
+	if embedder != nil {
+		opts = append(opts, core.WithEmbedder(embedder))
+	}
+	return opts
+}
+
 func (cfg ExecConfig) runtime() *execRuntime {
 	budget := cfg.Budget
 	if budget == nil {
@@ -236,13 +183,6 @@ func (cfg ExecConfig) runtime() *execRuntime {
 	if attr == nil {
 		attr = workflow.NewAttribution()
 	}
-	baseOpts := []core.Option{core.WithBudget(budget), core.WithAttribution(attr)}
-	if cfg.Parallelism > 0 {
-		baseOpts = append(baseOpts, core.WithParallelism(cfg.Parallelism))
-	}
-	if cfg.Embedder != nil {
-		baseOpts = append(baseOpts, core.WithEmbedder(cfg.Embedder))
-	}
 	rt := &execRuntime{budget: budget, attr: attr}
 	model := cfg.Model
 	if cfg.Resilience != nil {
@@ -251,24 +191,20 @@ func (cfg ExecConfig) runtime() *execRuntime {
 		rt.resil = resil.Wrap(model, *cfg.Resilience)
 		model = rt.resil
 	}
-	rt.engineFor = func() *core.Engine { return core.New(model, baseOpts...) }
-	if !cfg.Isolated {
-		layer := cfg.Exec
-		if layer == nil {
-			layer = workflow.NewExecLayer()
-		}
-		registry := cfg.Registry
-		if registry == nil {
-			registry = embed.NewRegistry()
-		}
-		opts := append(append([]core.Option(nil), baseOpts...),
-			core.WithExecutionLayer(layer), core.WithIndexRegistry(registry))
-		if cfg.Batch > 1 {
-			opts = append(opts, core.WithBatching(cfg.Batch))
-		}
-		shared := core.New(model, opts...)
-		rt.engineFor = func() *core.Engine { return shared }
+	layer := cfg.Exec
+	if layer == nil {
+		layer = workflow.NewExecLayer()
 	}
+	registry := cfg.Registry
+	if registry == nil {
+		registry = embed.NewRegistry()
+	}
+	opts := append(engineOptions(budget, attr, cfg.Parallelism, cfg.Embedder),
+		core.WithExecutionLayer(layer), core.WithIndexRegistry(registry))
+	if cfg.Batch > 1 {
+		opts = append(opts, core.WithBatching(cfg.Batch))
+	}
+	rt.engine = core.New(model, opts...)
 	return rt
 }
 
@@ -307,6 +243,25 @@ type runState struct {
 	details map[string]string
 	skipped map[string]int
 	quar    map[string]*quarantineInfo
+}
+
+func newRunState() *runState {
+	return &runState{scalars: make(map[string]string), details: make(map[string]string),
+		skipped: make(map[string]int), quar: make(map[string]*quarantineInfo)}
+}
+
+// skipEmpty reports a stage that saw no input records. A count over
+// nothing still has an answer — 0 — and must report it regardless of
+// where the optimizer placed the emptying filter.
+func (s *runState) skipEmpty(st Stage) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st.Kind() == KindCount {
+		s.scalars[st.Name()] = "0"
+		s.details[st.Name()] = "0 of 0 (empty input)"
+	} else {
+		s.details[st.Name()] = detailSkippedEmpty
+	}
 }
 
 // dropRecord records one record dropped under skip or quarantine mode.
@@ -502,23 +457,21 @@ func nextChunk(ctx context.Context, in <-chan dataset.Record, n int) (chunk []da
 // goroutine, records flow between stages over bounded channels, and a
 // per-record stage (filter, direct categorize, fixed-strategy impute,
 // nested-loop join) processes micro-batches while its upstream is still
-// emitting. Barrier stages — sort, max, count, resolve, planner-driven
-// impute, any stage with a dynamic side input, or everything when
-// cfg.Materialized is set — drain their input first; results are
-// identical either way at temperature 0. Unless Isolated, all stages
-// stream their unit tasks through one shared engine: one execution
-// layer, one embedding-index registry, one budget. Each stage's context
-// is tagged with its name, so the returned report attributes the shared
-// budget's spend stage by stage. With cfg.Feed set, the run is a
-// standing query: records arriving on the channel extend the source
-// stream mid-run, and Run returns after the feed closes and drains.
+// emitting — if its side table is an earlier stage's output, it buffers
+// its main input in a spillable spool until that table lands. Barrier
+// stages — sort, max, count, resolve, planner-driven impute — drain their
+// input first. All stages stream their unit tasks through one shared
+// engine: one execution layer, one embedding-index registry, one budget.
+// Each stage's context is tagged with its name, so the returned report
+// attributes the shared budget's spend stage by stage. At temperature 0
+// the result is byte-identical to RunSequential's. With cfg.Feed set,
+// the run is a standing query: records arriving on the channel extend
+// the source stream mid-run, and Run returns after the feed closes and
+// drains.
 func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]dataset.Record) (*Result, error) {
 	source, ok := tables["source"]
 	if !ok {
 		return nil, fmt.Errorf("pipeline: tables lack %q", "source")
-	}
-	if cfg.ChunkMin > 0 && cfg.ChunkMax > 0 && cfg.ChunkMin > cfg.ChunkMax {
-		return nil, fmt.Errorf("pipeline: ChunkMin %d exceeds ChunkMax %d", cfg.ChunkMin, cfg.ChunkMax)
 	}
 	switch cfg.OnRecordError {
 	case "", OnRecordFail, OnRecordSkip, OnRecordQuarantine:
@@ -526,8 +479,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		return nil, fmt.Errorf("pipeline: unknown OnRecordError %q (want fail, skip, or quarantine)", cfg.OnRecordError)
 	}
 	rt := cfg.runtime()
-	state := &runState{scalars: make(map[string]string), details: make(map[string]string),
-		skipped: make(map[string]int), quar: make(map[string]*quarantineInfo)}
+	state := newRunState()
 
 	outs := make(map[string]*streamOut, len(p.stages)+1)
 	root := &streamOut{table: source, done: make(chan struct{})}
@@ -538,13 +490,11 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	}
 
 	// Adaptive runs collapse runs of adjacent commutable filters into
-	// segments the executor may re-order mid-run; segMember marks every
-	// stage driven by a segment goroutine instead of its own. Isolated
-	// runs keep every stage on its own engine — a segment would share one
-	// across its members — so they never form segments.
+	// segments the executor may re-order mid-run; segID marks every stage
+	// driven by a segment goroutine instead of its own.
 	var segments [][]int
 	segID := make([]int, len(p.stages)) // 0 = no segment; k = member of segments[k-1]
-	if cfg.Adaptive && !cfg.Materialized && !cfg.Isolated {
+	if cfg.Adaptive {
 		segments = adaptiveSegments(p.specs)
 		for k, seg := range segments {
 			for _, j := range seg {
@@ -558,7 +508,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	// table after its done closes. Stages inside a segment take no edge
 	// of their own — the segment consumes the head's input and emits on
 	// the tail's output, whose downstream subscriptions wire as usual.
-	chunk := cfg.chunkCap()
+	capacity := cfg.widths().max
 	inputs := make(map[string]chan dataset.Record, len(p.stages))
 	for i, st := range p.stages {
 		if segID[i] > 0 {
@@ -566,7 +516,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 				continue // intra-segment edge: records flow inside the goroutine
 			}
 		}
-		ch := make(chan dataset.Record, chunk)
+		ch := make(chan dataset.Record, capacity)
 		inputs[st.Name()] = ch
 		up := outs[st.Input()]
 		up.subs = append(up.subs, ch)
@@ -654,34 +604,42 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 
+	res := p.report(rt.attr, state, outs)
+	res.Resilience = resilStats
+	return res, nil
+}
+
+// report assembles a finished run's Result from each stage's output
+// table and consumed-record count, the run state, and the ledger.
+func (p *Pipeline) report(attr *workflow.Attribution, state *runState, outs map[string]*streamOut) *Result {
 	res := &Result{
 		Tables:  make(map[string][]dataset.Record, len(p.stages)),
 		Scalars: state.scalars,
 	}
-	if u := rt.attr.Usage(workflow.StageProbe); !u.IsZero() {
+	if u := attr.Usage(workflow.StageProbe); !u.IsZero() {
 		res.Stages = append(res.Stages, StageReport{
 			Name:   workflow.StageProbe,
 			Kind:   "probe",
 			Usage:  u,
-			Cost:   rt.attr.Cost(workflow.StageProbe),
+			Cost:   attr.Cost(workflow.StageProbe),
 			Detail: "optimizer selectivity probes",
 		})
 	}
 	for _, st := range p.stages {
-		out := outs[st.Name()]
-		res.Tables[st.Name()] = out.table
+		name, out := st.Name(), outs[st.Name()]
+		res.Tables[name] = out.table
 		report := StageReport{
-			Name:    st.Name(),
+			Name:    name,
 			Kind:    st.Kind(),
 			In:      out.consumed,
 			Out:     len(out.table),
-			Usage:   rt.attr.Usage(st.Name()),
-			Cost:    rt.attr.Cost(st.Name()),
-			Timing:  rt.attr.Timing(st.Name()),
-			Detail:  state.details[st.Name()],
-			Skipped: state.skipped[st.Name()],
+			Usage:   attr.Usage(name),
+			Cost:    attr.Cost(name),
+			Timing:  attr.Timing(name),
+			Detail:  state.details[name],
+			Skipped: state.skipped[name],
 		}
-		if q := state.quar[st.Name()]; q != nil {
+		if q := state.quar[name]; q != nil {
 			report.Quarantined = q.count
 			report.QuarantineErrors = q.errs
 		}
@@ -689,9 +647,8 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		res.Quarantined += report.Quarantined
 		res.Stages = append(res.Stages, report)
 	}
-	res.Usage, res.Cost = rt.attr.Total()
-	res.Resilience = resilStats
-	return res, nil
+	res.Usage, res.Cost = attr.Total()
+	return res
 }
 
 // runStage drives one stage goroutine: resolve the side table, consume
@@ -711,51 +668,43 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		out.err = fmt.Errorf("stage %q: %w", st.Name(), err)
 		cancel()
 	}
-	skipEmpty := func() {
-		state.mu.Lock()
-		defer state.mu.Unlock()
-		if st.Kind() == KindCount {
-			// A count over nothing still has an answer — 0 — and must
-			// report it regardless of where the optimizer placed the
-			// emptying filter.
-			state.scalars[st.Name()] = "0"
-			state.details[st.Name()] = "0 of 0 (empty input)"
-		} else {
-			state.details[st.Name()] = detailSkippedEmpty
-		}
-	}
 
-	env := &Env{Engine: rt.engineFor(), Budget: rt.budget, Tables: tables,
-		chunk: cfg.newChunker(), stats: &stageStats{stage: st.Name()}, run: state,
+	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables,
+		chunk: cfg.widths(), stats: &stageStats{stage: st.Name()}, run: state,
 		onErr: cfg.OnRecordError}
 	defer env.stats.flush(rt.attr)
 
 	// A dynamic side input (Side naming an earlier stage) needs the side
 	// table whole, and the stage must keep consuming its own input while
 	// the side stage finishes — otherwise a shared ancestor could deadlock
-	// on backpressure. The classic answer is barrier mode: drain the main
-	// input, await the side, run. The adaptive runtime restores overlap
-	// for streamable stages instead: buffer the main input in a spillable
-	// spool while the side materializes, then stream the spool plus the
-	// live tail — the main path never stops consuming, and downstream
-	// starts receiving as soon as the side table lands.
+	// on backpressure. A streamable stage buffers its main input in a
+	// spillable spool while the side materializes, then streams the spool
+	// plus the live tail, so downstream starts receiving as soon as the
+	// side table lands. A barrier stage drains, awaits the side, and runs.
 	dynamicSide := sideStage(p.specs, spec) >= 0
 
-	streamer, ok := st.(Streamer)
-	canStream := ok && streamer.CanStream() && !cfg.Materialized
-	emit := func(r dataset.Record) error {
-		out.table = append(out.table, r)
-		if !out.send(ctx, r) {
-			return ctx.Err()
+	if streamer, ok := st.(Streamer); ok && streamer.CanStream() {
+		emit := func(r dataset.Record) error {
+			out.table = append(out.table, r)
+			if !out.send(ctx, r) {
+				return ctx.Err()
+			}
+			return nil
 		}
-		return nil
-	}
-
-	if canStream && !dynamicSide {
-		consumed, err := streamer.RunStream(workflow.TagStage(ctx, st.Name()), env, in, emit)
+		var consumed int
+		var err error
+		if dynamicSide {
+			consumed, err = p.runStreamWithSide(ctx, env, outs, in, tables, streamer, st, spec, emit)
+		} else {
+			consumed, err = streamer.RunStream(workflow.TagStage(ctx, st.Name()), env, in, emit)
+		}
 		out.consumed = consumed
 		if err != nil {
-			abort(err)
+			if dynamicSide && propagated(err, outs, spec) {
+				fail(err)
+			} else {
+				abort(err)
+			}
 			return
 		}
 		// The stream may have ended because the producer failed; the
@@ -766,29 +715,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 			return
 		}
 		if consumed == 0 {
-			skipEmpty()
-		}
-		return
-	}
-
-	if canStream && dynamicSide && cfg.Adaptive {
-		consumed, err := p.runStreamWithSide(ctx, cfg, env, outs, in, tables, streamer, st, spec, emit)
-		out.consumed = consumed
-		if err != nil {
-			if propagated(err, outs, spec) {
-				fail(err)
-			} else {
-				abort(err)
-			}
-			return
-		}
-		<-up.done
-		if up.err != nil {
-			fail(up.err)
-			return
-		}
-		if consumed == 0 {
-			skipEmpty()
+			state.skipEmpty(st)
 		}
 		return
 	}
@@ -816,7 +743,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 	wait := time.Since(start)
 	if len(recs) == 0 {
-		skipEmpty()
+		state.skipEmpty(st)
 		return
 	}
 	work := time.Now()
@@ -874,13 +801,13 @@ func propagated(err error, outs map[string]*streamOut, spec StageSpec) bool {
 // path without thousand-record inputs.
 var sideSpoolMem = 0
 
-// runStreamWithSide is the adaptive side-input overlap path: spool the
-// main input while the dynamic side stage materializes, then stream the
-// spooled prefix followed by the live channel through the stage. The
-// spool keeps the main path consuming (no backpressure deadlock through a
-// shared ancestor) without the full drain the barrier path pays, so
-// downstream receives records as soon as the side table is ready.
-func (p *Pipeline) runStreamWithSide(ctx context.Context, cfg ExecConfig, env *Env, outs map[string]*streamOut,
+// runStreamWithSide is the side-input overlap path: spool the main input
+// while the dynamic side stage materializes, then stream the spooled
+// prefix followed by the live channel through the stage. The spool keeps
+// the main path consuming (no backpressure deadlock through a shared
+// ancestor) without the full drain the barrier path pays, so downstream
+// receives records as soon as the side table is ready.
+func (p *Pipeline) runStreamWithSide(ctx context.Context, env *Env, outs map[string]*streamOut,
 	in <-chan dataset.Record, tables map[string][]dataset.Record, streamer Streamer, st Stage, spec StageSpec,
 	emit func(dataset.Record) error) (int, error) {
 	side := outs[spec.Side]
@@ -927,7 +854,7 @@ buffering:
 	// not run — until the feeder has exited: fcancel unblocks it even when
 	// the run's context is still live (e.g. RunStream failed mid-replay),
 	// and the second defer waits for it. No goroutine can leak.
-	merged := make(chan dataset.Record, cfg.chunkCap())
+	merged := make(chan dataset.Record, env.chunk.max)
 	feedErr := make(chan error, 1)
 	feedDone := make(chan struct{})
 	fctx, fcancel := context.WithCancel(ctx)

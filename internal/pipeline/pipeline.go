@@ -19,25 +19,28 @@
 // (sort/max/count, resolve, planner-driven impute) drain their input
 // first. A join's right side or an impute's example pool may name an
 // earlier stage instead of a static table; the executor materializes
-// that stage's stream once and fans it out. Every stage shares one
-// engine (one execution layer, one embedding-index registry, one
-// budget), and each stage's context is tagged so the shared budget
-// breaks down into per-stage usage and dollar attribution.
+// that stage's stream once and fans it out, and a per-record consumer
+// buffers its main input in a spillable spool meanwhile instead of
+// draining it. Every stage shares one engine (one execution layer, one
+// embedding-index registry, one budget), and each stage's context is
+// tagged so the shared budget breaks down into per-stage usage and
+// dollar attribution. The only executor-shape knobs are Chunk, which
+// pins the micro-batch width (default max(Batch, 8)), and Adaptive.
+// RunSequential is the naive reference: each stage in turn over its
+// whole input table on a fresh engine, sharing nothing.
 //
 // Optimize rewrites using spec hints alone; OptimizeProbed additionally
 // measures each hintless filter's selectivity on a deterministic record
 // sample before ordering (probe spend attributed under
 // workflow.StageProbe).
 //
-// ExecConfig.Adaptive enables the adaptive streaming runtime: per-stage
-// micro-batch widths self-tune between ChunkMin and ChunkMax from
-// observed service time versus queue wait, a streamable stage with a
-// dynamic side input overlaps its main path with the side stage's
-// materialization through a spillable buffer instead of draining first,
-// and runs of adjacent commutable filters execute as segments whose
-// internal order is revised at chunk boundaries as observed keep rates
-// refine the optimizer's estimates — all with byte-identical
-// temperature-0 results.
+// ExecConfig.Adaptive enables the adaptive runtime: per-stage
+// micro-batch widths self-tune between max(Batch, 1) and max(64, default
+// width) from observed service time versus queue wait, and runs of
+// adjacent commutable filters execute as segments whose internal order
+// is revised at chunk boundaries as observed keep rates refine the
+// optimizer's estimates — both with byte-identical temperature-0
+// results.
 //
 // ExecConfig.Feed turns a run into a standing query: records arriving on
 // the channel while the pipeline executes join the stream behind the

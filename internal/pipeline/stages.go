@@ -33,8 +33,7 @@ type Stage interface {
 // Streamer is the optional streaming face of a Stage: a stage that can
 // process records in bounded micro-batches (Env's chunk size), emitting
 // outputs while its upstream is still producing. The executor streams a
-// stage only when CanStream reports true — and never in Materialized
-// mode or when the stage takes a dynamic side input.
+// stage only when CanStream reports true; RunSequential never streams.
 type Streamer interface {
 	// CanStream reports whether the configured strategy keeps each
 	// record's outcome independent of which other records share a chunk —

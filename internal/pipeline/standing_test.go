@@ -30,8 +30,9 @@ func feedRecords(waves ...[]dataset.Record) <-chan dataset.Record {
 // TestStandingQueryMatchesBatch is the standing-query acceptance pin:
 // records ingested mid-run through ExecConfig.Feed must leave every
 // table, scalar, and detail byte-identical to a batch run whose source
-// table already held the full record set — across streaming, adaptive
-// (self-tuned chunks and filter segments), and materialized execution.
+// table already held the full record set — across streaming and
+// adaptive (self-tuned chunks and filter segments) execution, and against
+// the materialized sequential reference (RunSequential) as the batch run.
 func TestStandingQueryMatchesBatch(t *testing.T) {
 	model := llm.Func{ModelName: "standing", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		switch {
@@ -66,15 +67,17 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 	// legitimately differ between two runs — the segment tail and
 	// everything downstream may not. Pinning Chunk keeps the adaptive
 	// runtime's segments while making the whole report deterministic.
+	// sequential makes the batch side the materialized sequential
+	// reference instead of a batch Run of the same config.
 	configs := []struct {
-		name  string
-		cfg   ExecConfig
-		exact bool
+		name              string
+		cfg               ExecConfig
+		exact, sequential bool
 	}{
-		{"streaming", ExecConfig{Chunk: 2, Parallelism: 2}, true},
-		{"adaptive-pinned-chunk", ExecConfig{Adaptive: true, Chunk: 1, Parallelism: 2}, true},
-		{"adaptive-selftuned", ExecConfig{Adaptive: true, Parallelism: 2}, false},
-		{"materialized", ExecConfig{Materialized: true, Parallelism: 2}, true},
+		{"streaming", ExecConfig{Chunk: 2, Parallelism: 2}, true, false},
+		{"adaptive-pinned-chunk", ExecConfig{Adaptive: true, Chunk: 1, Parallelism: 2}, true, false},
+		{"adaptive-selftuned", ExecConfig{Adaptive: true, Parallelism: 2}, false, false},
+		{"materialized", ExecConfig{Parallelism: 2}, true, true},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,10 +85,16 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchCfg := tc.cfg
-			batchCfg.Model = model
-			batch, err := batchP.Run(context.Background(), batchCfg,
-				map[string][]dataset.Record{"source": all})
+			batchTables := map[string][]dataset.Record{"source": all}
+			var batch *Result
+			if tc.sequential {
+				batch, err = batchP.RunSequential(context.Background(),
+					SequentialConfig{Model: model, Parallelism: tc.cfg.Parallelism}, batchTables)
+			} else {
+				batchCfg := tc.cfg
+				batchCfg.Model = model
+				batch, err = batchP.Run(context.Background(), batchCfg, batchTables)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,9 +70,10 @@ func TestStreamingOverlapsStages(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterialized pins the tentpole equivalence: a
-// streaming run returns byte-identical tables, scalars, and details to a
-// materialized run of the same spec at temperature 0, across streaming
-// (filter, categorize, impute) and barrier (resolve, count) stages.
+// streaming run returns byte-identical tables, scalars, and details to
+// the materialized sequential reference (RunSequential) of the same spec
+// at temperature 0, across streaming (filter, categorize, impute) and
+// barrier (resolve, count) stages.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 12, Train: 30, Seed: 3}.Tables()
 	for i, r := range tables["source"] {
@@ -84,28 +85,24 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		{Name: "city", Kind: KindImpute, TargetField: "city", Side: "train", Strategy: "hybrid", Neighbors: 3, Examples: 2},
 		{Name: "n", Kind: KindCount, Field: "city", Predicate: "q", Strategy: "per-item"},
 	}}
-	runWith := func(materialized bool, chunk int) *Result {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(context.Background(), ExecConfig{
-			Model: sim.NewNamed("sim-gpt-3.5-turbo"), Materialized: materialized, Chunk: chunk,
-		}, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := runWith(true, 0)
+	want, err := p.RunSequential(context.Background(), SequentialConfig{Model: sim.NewNamed("sim-gpt-3.5-turbo")}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, chunk := range []int{1, 3, 64} {
-		got := runWith(false, chunk)
+		got, err := p.Run(context.Background(), ExecConfig{Model: sim.NewNamed("sim-gpt-3.5-turbo"), Chunk: chunk}, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(want.Tables, got.Tables) {
-			t.Fatalf("chunk %d: streaming tables differ from materialized", chunk)
+			t.Fatalf("chunk %d: streaming tables differ from the sequential reference", chunk)
 		}
 		if !reflect.DeepEqual(want.Scalars, got.Scalars) {
-			t.Fatalf("chunk %d: streaming scalars %v != materialized %v", chunk, got.Scalars, want.Scalars)
+			t.Fatalf("chunk %d: streaming scalars %v != sequential %v", chunk, got.Scalars, want.Scalars)
 		}
 		for i := range want.Stages {
 			if want.Stages[i].Detail != got.Stages[i].Detail {
@@ -170,7 +167,7 @@ func TestStreamingCancellationNoLeak(t *testing.T) {
 // matches by LeftID globally, which a chunked run cannot reproduce — so
 // the join stage orders its output by input position instead, and a
 // streamed nested-loop join over non-ID-ordered input must concatenate
-// to exactly the materialized table.
+// to exactly the sequential reference's whole-table join.
 func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 	model := llm.Func{ModelName: "match-all", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		return unit("Yes"), nil
@@ -188,24 +185,24 @@ func TestStreamingJoinOrderMatchesMaterialized(t *testing.T) {
 	spec := Spec{Stages: []StageSpec{
 		{Name: "match", Kind: KindJoin, Field: "name", Side: "right", Strategy: "nested-loop"},
 	}}
-	run := func(materialized bool) []dataset.Record {
-		t.Helper()
-		p, err := Compile(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(context.Background(), ExecConfig{Model: model, Materialized: materialized, Chunk: 1}, tables)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Tables["match"]
+	p, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, got := run(true), run(false)
+	seq, err := p.RunSequential(context.Background(), SequentialConfig{Model: model}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background(), ExecConfig{Model: model, Chunk: 1}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := seq.Tables["match"], res.Tables["match"]
 	if len(want) != 6 {
-		t.Fatalf("materialized join has %d rows, want 3x2", len(want))
+		t.Fatalf("sequential join has %d rows, want 3x2", len(want))
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("streaming join order differs:\nmaterialized %v\nstreaming    %v", want, got)
+		t.Fatalf("streaming join order differs:\nsequential %v\nstreaming  %v", want, got)
 	}
 	// Input position, not ID order, dictates the output.
 	if id := want[0].ID; id != "z9" {

@@ -123,8 +123,7 @@ func (s *session) execConfig(k ExecKnobs) pipeline.ExecConfig {
 	return pipeline.ExecConfig{
 		Model: s.counting, Exec: s.exec, Registry: s.registry, Attribution: s.attr,
 		Batch: k.Batch, Parallelism: k.Parallelism, Chunk: k.Chunk,
-		Adaptive: k.Adaptive, ChunkMin: k.ChunkMin, ChunkMax: k.ChunkMax,
-		Materialized: k.Materialized, OnRecordError: k.OnRecordError,
+		Adaptive: k.Adaptive, OnRecordError: k.OnRecordError,
 	}
 }
 

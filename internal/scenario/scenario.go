@@ -145,8 +145,6 @@ type Turn struct {
 type ExecKnobs struct {
 	Batch, Parallelism, Chunk int
 	Adaptive                  bool
-	ChunkMin, ChunkMax        int
-	Materialized              bool
 	// OnRecordError selects the degraded-mode record policy
 	// (pipeline.OnRecordFail / OnRecordSkip / OnRecordQuarantine; empty
 	// means fail — today's semantics).

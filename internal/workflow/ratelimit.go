@@ -110,51 +110,3 @@ func (m *RateLimitedModel) Complete(ctx context.Context, req llm.Request) (llm.R
 	}
 	return m.inner.Complete(ctx, req)
 }
-
-// FlakyModel wraps a model and injects transient failures: every failEvery-th
-// call errors before reaching the inner model. It exists for failure-injection
-// tests of retry and fallback paths; the injected error wraps ErrInjected.
-type FlakyModel struct {
-	inner     llm.Model
-	failEvery int
-	mu        sync.Mutex
-	calls     int
-	failures  int
-}
-
-// ErrInjected marks failures produced by FlakyModel.
-var ErrInjected = fmt.Errorf("workflow: injected failure")
-
-// NewFlaky wraps m; every failEvery-th call (1-based) fails. failEvery
-// must be at least 2 so some calls succeed.
-func NewFlaky(m llm.Model, failEvery int) *FlakyModel {
-	if failEvery < 2 {
-		panic("workflow: NewFlaky needs failEvery >= 2")
-	}
-	return &FlakyModel{inner: m, failEvery: failEvery}
-}
-
-// Name implements llm.Model.
-func (f *FlakyModel) Name() string { return f.inner.Name() }
-
-// Complete implements llm.Model with periodic injected failures.
-func (f *FlakyModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	f.mu.Lock()
-	f.calls++
-	fail := f.calls%f.failEvery == 0
-	if fail {
-		f.failures++
-	}
-	f.mu.Unlock()
-	if fail {
-		return llm.Response{}, fmt.Errorf("%w (call %d)", ErrInjected, f.calls)
-	}
-	return f.inner.Complete(ctx, req)
-}
-
-// Stats returns total calls seen and failures injected.
-func (f *FlakyModel) Stats() (calls, failures int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls, f.failures
-}

@@ -2,7 +2,6 @@ package workflow
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -116,33 +115,4 @@ func TestRateLimitedModel(t *testing.T) {
 	if err != nil || resp.Text != "ok" {
 		t.Fatalf("resp=%v err=%v", resp, err)
 	}
-}
-
-func TestFlakyModel(t *testing.T) {
-	f := NewFlaky(fixedModel("m", "ok"), 3)
-	var errs int
-	for i := 0; i < 9; i++ {
-		if _, err := f.Complete(context.Background(), llm.Request{}); err != nil {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			errs++
-		}
-	}
-	if errs != 3 {
-		t.Fatalf("injected %d failures in 9 calls, want 3", errs)
-	}
-	calls, failures := f.Stats()
-	if calls != 9 || failures != 3 {
-		t.Fatalf("stats = %d, %d", calls, failures)
-	}
-}
-
-func TestNewFlakyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("failEvery < 2 should panic")
-		}
-	}()
-	NewFlaky(fixedModel("m", "ok"), 1)
 }
