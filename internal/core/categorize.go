@@ -90,7 +90,7 @@ func (e *Engine) Categorize(ctx context.Context, req CategorizeRequest) (Categor
 	if len(categories) == 0 {
 		return CategorizeResult{}, badRequestf("no categories to assign to")
 	}
-	assignments, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
+	assignments, err := s.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
 		return quality.AskWithRetry(ctx, s.model, prompt.Categorize(req.Items[i], categories),
 			func(text string) (string, error) {
 				v, err := prompt.ParseValue(text)

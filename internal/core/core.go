@@ -59,7 +59,14 @@ func WithEmbedder(em embed.Embedder) Option {
 	return func(e *Engine) { e.embedder = em }
 }
 
-// WithParallelism bounds concurrent LLM calls (default 8).
+// DefaultParallelism is the upstream calls one operator fan-out keeps in
+// flight when WithParallelism is not given.
+const DefaultParallelism = 8
+
+// WithParallelism bounds the upstream calls one operator fan-out keeps in
+// flight (default DefaultParallelism). Under WithBatching(k) a call is an
+// envelope, so a batched fan-out admits p×k unit tasks at once and one
+// window flush sends up to p envelopes together.
 func WithParallelism(p int) Option {
 	return func(e *Engine) { e.parallelism = p }
 }
@@ -89,8 +96,10 @@ func WithExecutionLayer(l *workflow.ExecLayer) Option {
 // prompt for the strategies that issue homogeneous per-item tasks
 // (per-item filter, categorize assignment, LLM imputation). k <= 1
 // disables batching (the default). Tasks share an envelope only within
-// one operator fan-out. See workflow.BatchingModel for the flush,
-// splitting and retry semantics.
+// one operator fan-out, which admits parallelism×k tasks so that up to
+// parallelism envelopes travel in one round trip; WithParallelism(1)
+// therefore packs one envelope at a time. See workflow.BatchingModel for
+// the flush, splitting and retry semantics.
 func WithBatching(k int) Option {
 	return func(e *Engine) { e.batch = k }
 }
@@ -142,7 +151,7 @@ func New(model llm.Model, opts ...Option) *Engine {
 		model:       model,
 		budget:      workflow.Unlimited(),
 		embedder:    embed.Default(),
-		parallelism: 8,
+		parallelism: DefaultParallelism,
 		retries:     3,
 		cache:       true,
 	}
@@ -199,6 +208,10 @@ func (e *Engine) Model() llm.Model { return e.model }
 type session struct {
 	model    llm.Model
 	counting *llm.CountingModel
+	// width is the unit tasks one fan-out admits at once: the engine's
+	// parallelism, times the envelope size when the session batches, so
+	// parallelism bounds upstream calls in flight either way.
+	width int
 }
 
 func (e *Engine) newSession() *session { return e.sessionWith(false) }
@@ -213,6 +226,7 @@ func (e *Engine) newBatchedSession() *session { return e.sessionWith(true) }
 func (e *Engine) sessionWith(batchable bool) *session {
 	counting := llm.NewCounting(workflow.NewBudgeted(e.model, e.budget))
 	var m llm.Model = counting
+	width := e.parallelism
 	if e.attr != nil {
 		// Below the batcher and the cache, so attribution sees exactly the
 		// billed upstream calls — envelopes once, cache hits never — tagged
@@ -228,6 +242,7 @@ func (e *Engine) sessionWith(batchable bool) *session {
 			opts.Observer = e.exec
 		}
 		m = workflow.NewBatching(m, opts)
+		width *= e.batch
 	}
 	switch {
 	case e.exec != nil:
@@ -235,7 +250,7 @@ func (e *Engine) sessionWith(batchable bool) *session {
 	case e.cache:
 		m = workflow.NewCached(m)
 	}
-	return &session{model: m, counting: counting}
+	return &session{model: m, counting: counting, width: width}
 }
 
 // usage returns the tokens actually spent in this session (cache hits are
@@ -255,9 +270,9 @@ func (e *Engine) index(items []embed.Item) *embed.Index {
 	return ix
 }
 
-// mapIdx fans fn out over n indices with the engine's parallelism.
-func (e *Engine) mapIdx(ctx context.Context, n int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {
-	return workflow.Map(ctx, n, e.parallelism, fn)
+// mapIdx fans fn out over n indices, s.width at a time.
+func (s *session) mapIdx(ctx context.Context, n int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {
+	return workflow.Map(ctx, n, s.width, fn)
 }
 
 func badRequestf(format string, args ...any) error {

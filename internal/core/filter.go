@@ -82,7 +82,7 @@ func (e *Engine) Filter(ctx context.Context, req FilterRequest) (FilterResult, e
 	// which would never share an envelope, so they skip the batcher.
 	s := e.sessionWith(req.Strategy == FilterPerItem)
 	res := FilterResult{Keep: make([]bool, len(req.Items))}
-	answers, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
+	answers, err := s.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
 		p := prompt.FilterItem(req.Items[i], req.Predicate)
 		var (
 			keep bool
@@ -197,7 +197,7 @@ func (e *Engine) Count(ctx context.Context, req CountRequest) (CountResult, erro
 			}
 			batches = append(batches, req.Items[start:end])
 		}
-		fracs, err := e.mapIdx(ctx, len(batches), func(ctx context.Context, i int) (string, error) {
+		fracs, err := s.mapIdx(ctx, len(batches), func(ctx context.Context, i int) (string, error) {
 			f, err := quality.AskWithRetry(ctx, s.model, prompt.CountBatch(batches[i], req.Predicate),
 				prompt.ParsePercent, e.retries)
 			if err != nil {

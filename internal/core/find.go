@@ -81,7 +81,7 @@ func (e *Engine) Find(ctx context.Context, req FindRequest) (FindResult, error) 
 	var res FindResult
 	switch req.Strategy {
 	case FindScan:
-		answers, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
+		answers, err := s.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
 			ok, err := check(ctx, req.Items[i])
 			if err != nil {
 				return "", err

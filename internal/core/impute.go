@@ -184,7 +184,7 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 		}
 		res.KNNDecided = len(req.Queries)
 	case ImputeLLM:
-		values, err := e.mapIdx(ctx, len(req.Queries), askLLM)
+		values, err := s.mapIdx(ctx, len(req.Queries), askLLM)
 		if err != nil {
 			return ImputeResult{}, fmt.Errorf("llm impute: %w", err)
 		}
@@ -200,7 +200,7 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 				contested = append(contested, i)
 			}
 		}
-		values, err := workflowMapSubset(ctx, e, contested, askLLM)
+		values, err := workflowMapSubset(ctx, s, contested, askLLM)
 		if err != nil {
 			return ImputeResult{}, fmt.Errorf("hybrid impute: %w", err)
 		}
@@ -217,8 +217,8 @@ func (e *Engine) Impute(ctx context.Context, req ImputeRequest) (ImputeResult, e
 
 // workflowMapSubset fans fn out over an index subset, preserving subset
 // order in the result.
-func workflowMapSubset(ctx context.Context, e *Engine, subset []int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {
-	return e.mapIdx(ctx, len(subset), func(ctx context.Context, k int) (string, error) {
+func workflowMapSubset(ctx context.Context, s *session, subset []int, fn func(ctx context.Context, i int) (string, error)) ([]string, error) {
+	return s.mapIdx(ctx, len(subset), func(ctx context.Context, k int) (string, error) {
 		return fn(ctx, subset[k])
 	})
 }

@@ -105,7 +105,7 @@ func (e *Engine) joinNestedLoop(ctx context.Context, s *session, req JoinRequest
 			pairs = append(pairs, pair{l, r})
 		}
 	}
-	answers, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
+	answers, err := s.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
 		p := pairs[k]
 		yes, err := e.matchOnce(ctx, s, req.Left[p.l], req.Right[p.r])
 		if err != nil {

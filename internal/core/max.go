@@ -70,7 +70,7 @@ func (e *Engine) Max(ctx context.Context, req MaxRequest) (MaxResult, error) {
 		// Coarse phase: rate everything; keep the top non-empty bucket
 		// plus the bucket below it (ratings are noisy; a one-bucket slip
 		// must not eliminate the true max).
-		ratings, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
+		ratings, err := s.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
 			r, err := quality.AskWithRetry(ctx, s.model,
 				prompt.RateItem(req.Items[i], req.Criterion, req.RatingScale),
 				func(text string) (int, error) { return prompt.ParseRating(text, req.RatingScale) },
@@ -113,7 +113,7 @@ func (e *Engine) Max(ctx context.Context, req MaxRequest) (MaxResult, error) {
 func (e *Engine) tournamentWinner(ctx context.Context, s *session, items []string, criterion string) (string, error) {
 	t := consistency.NewTournament(items)
 	pairs := allPairs(len(items))
-	outcomes, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
+	outcomes, err := s.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
 		p := pairs[k]
 		aWins, err := compareOnce(ctx, s.model, e.retries, items[p[0]], items[p[1]], criterion, 0, false)
 		if err != nil {

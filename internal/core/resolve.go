@@ -151,7 +151,7 @@ func (e *Engine) matchOnce(ctx context.Context, s *session, a, b Entity) (bool, 
 }
 
 func (e *Engine) resolveDirect(ctx context.Context, s *session, req PairsRequest) (PairsResult, error) {
-	answers, err := e.mapIdx(ctx, len(req.Pairs), func(ctx context.Context, i int) (string, error) {
+	answers, err := s.mapIdx(ctx, len(req.Pairs), func(ctx context.Context, i int) (string, error) {
 		p := req.Pairs[i]
 		yes, err := e.matchOnce(ctx, s, req.Corpus[p[0]], req.Corpus[p[1]])
 		if err != nil {
@@ -224,7 +224,7 @@ func (e *Engine) resolveBlocked(ctx context.Context, s *session, req PairsReques
 		}
 		askIdx = append(askIdx, i)
 	}
-	answers, err := e.mapIdx(ctx, len(askIdx), func(ctx context.Context, k int) (string, error) {
+	answers, err := s.mapIdx(ctx, len(askIdx), func(ctx context.Context, k int) (string, error) {
 		p := req.Pairs[askIdx[k]]
 		yes, err := e.matchOnce(ctx, s, req.Corpus[p[0]], req.Corpus[p[1]])
 		if err != nil {
@@ -352,7 +352,7 @@ func allPairs(n int) [][2]int {
 }
 
 func (e *Engine) dedupePairs(ctx context.Context, s *session, records []Entity, graph *consistency.MatchGraph, pairs [][2]int) (int, error) {
-	answers, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
+	answers, err := s.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
 		p := pairs[k]
 		yes, err := e.matchOnce(ctx, s, records[p[0]], records[p[1]])
 		if err != nil {
@@ -556,7 +556,7 @@ func (e *Engine) neighbourhoodComparisons(ctx context.Context, s *session, req P
 		}
 		return cmps[i][1] < cmps[j][1]
 	})
-	raw, err := e.mapIdx(ctx, len(cmps), func(ctx context.Context, i int) (string, error) {
+	raw, err := s.mapIdx(ctx, len(cmps), func(ctx context.Context, i int) (string, error) {
 		c := cmps[i]
 		v, err := e.matchOnce(ctx, s, req.Corpus[c[0]], req.Corpus[c[1]])
 		if err != nil {

@@ -171,7 +171,7 @@ func (e *Engine) sortOnePrompt(ctx context.Context, s *session, req SortRequest)
 }
 
 func (e *Engine) sortRating(ctx context.Context, s *session, req SortRequest) (SortResult, error) {
-	ratings, err := e.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
+	ratings, err := s.mapIdx(ctx, len(req.Items), func(ctx context.Context, i int) (string, error) {
 		r, err := quality.AskWithRetry(ctx, s.model, prompt.RateItem(req.Items[i], req.Criterion, req.RatingScale),
 			func(text string) (int, error) { return prompt.ParseRating(text, req.RatingScale) },
 			e.retries)
@@ -229,7 +229,7 @@ func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, 
 		batch = 1
 	}
 	if batch == 1 {
-		got, err := e.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
+		got, err := s.mapIdx(ctx, len(pairs), func(ctx context.Context, k int) (string, error) {
 			p := pairs[k]
 			aWins, err := compareOnce(ctx, s.model, e.retries, req.Items[p.i], req.Items[p.j], req.Criterion, req.TemplateVariant, req.ChainOfThought)
 			if err != nil {
@@ -255,7 +255,7 @@ func (e *Engine) sortPairwise(ctx context.Context, s *session, req SortRequest, 
 			}
 			chunks = append(chunks, pairs[start:end])
 		}
-		chunkAnswers, err := e.mapIdx(ctx, len(chunks), func(ctx context.Context, c int) (string, error) {
+		chunkAnswers, err := s.mapIdx(ctx, len(chunks), func(ctx context.Context, c int) (string, error) {
 			chunk := chunks[c]
 			items := make([]prompt.PairItem, len(chunk))
 			for i, p := range chunk {
@@ -343,7 +343,7 @@ func (e *Engine) sortHybridInsert(ctx context.Context, s *session, req SortReque
 	for _, item := range missing {
 		// Two comparisons per ranked element: item listed first, then
 		// second, cancelling the model's position bias.
-		votes, err := e.mapIdx(ctx, 2*len(ranked), func(ctx context.Context, k int) (string, error) {
+		votes, err := s.mapIdx(ctx, 2*len(ranked), func(ctx context.Context, k int) (string, error) {
 			idx := k / 2
 			var itemHigher bool
 			var cerr error

@@ -83,8 +83,9 @@ func TestAdaptiveChunkerTunes(t *testing.T) {
 }
 
 // TestWidthResolution pins the derived width policy: the fixed default
-// is max(Batch, 8) with floor == ceiling (and the ceiling sizes the
-// inter-stage channels, so the default capacity is 8); a positive Chunk
+// is Parallelism × max(Batch, 1), what one round trip carries, with
+// floor == ceiling (and the ceiling sizes the inter-stage channels, so
+// the unbatched default capacity stays 8); a positive Chunk
 // pins the width even under Adaptive; and the adaptive floor is
 // max(Batch, 1) — starved observations never push the target width
 // below one envelope's worth of records.
@@ -94,12 +95,17 @@ func TestWidthResolution(t *testing.T) {
 		floor, start, ceil int
 	}{
 		{ExecConfig{}, 8, 8, 8},
-		{ExecConfig{Batch: 8}, 8, 8, 8},
-		{ExecConfig{Batch: 16}, 16, 16, 16},
+		{ExecConfig{Batch: 1}, 8, 8, 8},
+		{ExecConfig{Parallelism: 2}, 2, 2, 2},
+		{ExecConfig{Batch: 8}, 64, 64, 64},
+		{ExecConfig{Batch: 16}, 128, 128, 128},
+		{ExecConfig{Batch: 4, Parallelism: 2}, 8, 8, 8},
+		{ExecConfig{Batch: 8, Parallelism: 16}, 128, 128, 128},
 		{ExecConfig{Chunk: 3, Batch: 8, Adaptive: true}, 3, 3, 3},
-		{ExecConfig{Batch: 8, Adaptive: true}, 8, 8, 64},
+		{ExecConfig{Batch: 8, Adaptive: true}, 8, 64, 64},
 		{ExecConfig{Adaptive: true}, 1, 8, 64},
-		{ExecConfig{Batch: 100, Adaptive: true}, 100, 100, 100},
+		{ExecConfig{Batch: 4, Parallelism: 1, Adaptive: true}, 4, 4, 64},
+		{ExecConfig{Batch: 100, Adaptive: true}, 100, 800, 800},
 	} {
 		c := tc.cfg.widths()
 		if c.min != tc.floor || c.size() != tc.start || c.max != tc.ceil {

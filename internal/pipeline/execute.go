@@ -76,13 +76,17 @@ type ExecConfig struct {
 	// flush the moment every live task of the fan-out waits on the model:
 	// batching adds no timer delay, and which tasks share an envelope
 	// depends only on the fan-out's prompts (see workflow.BatchingModel).
+	// One flush sends up to Parallelism envelopes together.
 	Batch int
-	// Parallelism bounds concurrent LLM calls per operator (default 8).
+	// Parallelism bounds the upstream calls each operator fan-out keeps
+	// in flight (default core.DefaultParallelism, 8). A batched fan-out
+	// counts envelopes, so it admits Parallelism × Batch unit tasks.
 	Parallelism int
 	// Chunk pins the records per streaming micro-batch, even under
 	// Adaptive. Larger chunks amortize per-invocation overhead; smaller
 	// ones hand records downstream sooner. 0 takes the default width,
-	// max(Batch, 8), which Adaptive may tune.
+	// Parallelism × max(Batch, 1) — what one round trip of the fan-out
+	// carries — which Adaptive may tune.
 	Chunk int
 	// Adaptive lets the running plan tune itself from live observations:
 	// with Chunk unset, each stage's micro-batch width self-tunes from
@@ -113,15 +117,20 @@ type ExecConfig struct {
 }
 
 // widths resolves one stage's micro-batch width policy. The default
-// width is max(Batch, 8) and a positive Chunk pins it; only Adaptive with
-// Chunk unset opens a tuning range, from max(Batch, 1) up to max(64,
-// default). A fixed width is just floor == ceiling. The ceiling also
-// sizes every inter-stage channel, so a grown chunk can actually fill
-// from the buffer.
+// width is what one round trip carries, Parallelism × max(Batch, 1) (8
+// unbatched at the default parallelism, 64 at Batch 8), and a positive
+// Chunk pins it; only Adaptive with Chunk unset opens a tuning range,
+// from max(Batch, 1) up to max(64, default). A fixed width is just floor
+// == ceiling. The ceiling also sizes every inter-stage channel, so a
+// grown chunk can actually fill from the buffer.
 func (cfg ExecConfig) widths() chunker {
 	width := cfg.Chunk
 	if width <= 0 {
-		width = max(cfg.Batch, 8)
+		par := cfg.Parallelism
+		if par <= 0 {
+			par = core.DefaultParallelism
+		}
+		width = par * max(cfg.Batch, 1)
 	}
 	if !cfg.Adaptive || cfg.Chunk > 0 {
 		return chunker{min: width, max: width, cur: width}
@@ -526,7 +535,18 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	defer cancel()
 	var wg sync.WaitGroup
 
-	// Feed the materialized source table to its subscribers, then — for a
+	// Pre-buffer the head of the static source before any stage starts:
+	// the channels are empty and hold capacity records, so this cannot
+	// block, and a source that fits in one channel reaches each consumer
+	// as one first chunk by construction rather than by scheduling.
+	pre := min(len(root.table), capacity)
+	for _, ch := range root.subs {
+		for _, r := range root.table[:pre] {
+			ch <- r
+		}
+	}
+
+	// Feed the rest of the static source to its subscribers, then — for a
 	// standing query — the ingest channel until it closes. Fed records are
 	// not appended to root.table: the slice aliases the caller's "source"
 	// table, and consumers see every record through the stream either way.
@@ -534,7 +554,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	go func() {
 		defer wg.Done()
 		defer root.closeSubs()
-		for _, r := range root.table {
+		for _, r := range root.table[pre:] {
 			if !root.send(ctx, r) {
 				return
 			}

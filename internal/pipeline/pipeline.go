@@ -25,7 +25,11 @@
 // embedding-index registry, one budget), and each stage's context is
 // tagged so the shared budget breaks down into per-stage usage and
 // dollar attribution. The only executor-shape knobs are Chunk, which
-// pins the micro-batch width (default max(Batch, 8)), and Adaptive.
+// pins the micro-batch width (default Parallelism × max(Batch, 1), what
+// one round trip carries: Parallelism bounds upstream calls in flight,
+// and a batched call is an envelope), and Adaptive. The static source is
+// pre-buffered into its consumers' channels before any stage starts, so
+// a source that fits one chunk arrives as one chunk.
 // RunSequential is the naive reference: each stage in turn over its
 // whole input table on a fresh engine, sharing nothing.
 //

@@ -78,7 +78,7 @@ type batchItem struct {
 // malformed batched completion degrades to per-task cost, never to a
 // wrong or lost answer. A failed envelope call takes the same path: each
 // waiter solo-retries under its own context with its original request
-// (concurrently, bounded by soloRetryParallelism), so one co-batched
+// (concurrently, at most soloRetryParallelism per flush), so one co-batched
 // caller's cancellation or a transient upstream fault never poisons the
 // whole batch. At temperature 0 this makes batched results identical to
 // unbatched ones whenever the upstream model answers each embedded task
@@ -98,9 +98,10 @@ type BatchingModel struct {
 	retried int // unit tasks re-issued solo after a failed envelope or bad split
 }
 
-// soloRetryParallelism bounds the concurrent solo retries issued after a
-// failed envelope call or a bad split, so a large batch degrades to a
-// bounded fan-out rather than a serialized tail or an unbounded burst.
+// soloRetryParallelism bounds the concurrent solo retries issued after
+// failed envelope calls or bad splits — shared by every envelope of one
+// flush — so an outage degrades a wide fan-out to a bounded one rather
+// than a serialized tail or an unbounded burst.
 const soloRetryParallelism = 8
 
 // NewBatching wraps m with batching under the given options.
@@ -154,7 +155,8 @@ func (b *BatchingModel) Complete(ctx context.Context, req llm.Request) (llm.Resp
 // flushBatches issues the batches a window detached: per batcher and
 // compatibility group, tasks sorted by prompt, cut into envelopes of at
 // most MaxBatch. All envelopes but the last run on their own goroutines,
-// so a wide fan-out pays one round-trip, not one per envelope.
+// so a wide fan-out pays one round-trip, not one per envelope. Their solo
+// retries share one soloRetryParallelism bound.
 func flushBatches(batches [][]*batchItem) {
 	type key struct {
 		b *BatchingModel
@@ -181,11 +183,15 @@ func flushBatches(batches [][]*batchItem) {
 			}
 		}
 	}
+	if len(envelopes) == 0 {
+		return
+	}
+	solo := make(chan struct{}, soloRetryParallelism)
 	for i, env := range envelopes {
 		if i == len(envelopes)-1 {
-			env[0].b.flush(env)
+			env[0].b.flush(env, solo)
 		} else {
-			go env[0].b.flush(env)
+			go env[0].b.flush(env, solo)
 		}
 	}
 }
@@ -203,8 +209,8 @@ func (b *BatchingModel) observe(envelopes, packed, soloRetries int) {
 // from one fan-out sharing a context. Once the call returns, every
 // waiter's park is released before any waiter is woken (see park), and
 // tasks sent to a solo retry count as running, not parked: a retry is an
-// ordinary upstream call.
-func (b *BatchingModel) flush(items []*batchItem) {
+// ordinary upstream call. solo bounds the flush's solo retries.
+func (b *BatchingModel) flush(items []*batchItem, solo chan struct{}) {
 	if len(items) == 1 {
 		it := items[0]
 		resp, err := b.inner.Complete(it.ctx, it.req)
@@ -239,7 +245,7 @@ func (b *BatchingModel) flush(items []*batchItem) {
 		b.batches++
 		b.mu.Unlock()
 		b.observe(1, 0, 0)
-		b.retrySolo(items)
+		b.retrySolo(items, solo)
 		return
 	}
 	b.mu.Lock()
@@ -260,14 +266,14 @@ func (b *BatchingModel) flush(items []*batchItem) {
 		}
 		it.ch <- batchResult{resp: llm.Response{Text: answer, Model: resp.Model}}
 	}
-	b.retrySolo(retry)
+	b.retrySolo(retry, solo)
 }
 
-// retrySolo re-issues each item's original request individually — at most
-// soloRetryParallelism in flight at once — and delivers every waiter its
+// retrySolo re-issues each item's original request individually — each
+// holding a slot of sem while in flight — and delivers every waiter its
 // own result (or its own error). Used after a failed envelope call and for
 // tasks whose answer section was missing from a batched completion.
-func (b *BatchingModel) retrySolo(items []*batchItem) {
+func (b *BatchingModel) retrySolo(items []*batchItem, sem chan struct{}) {
 	if len(items) == 0 {
 		return
 	}
@@ -275,7 +281,6 @@ func (b *BatchingModel) retrySolo(items []*batchItem) {
 	b.retried += len(items)
 	b.mu.Unlock()
 	b.observe(0, 0, len(items))
-	sem := make(chan struct{}, soloRetryParallelism)
 	var wg sync.WaitGroup
 	for _, it := range items {
 		wg.Add(1)

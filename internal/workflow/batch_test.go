@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -328,5 +329,50 @@ func TestBatchingRefusesCappedRequests(t *testing.T) {
 	}
 	if calls.Load() != 1 || sawMax.Load() != 7 {
 		t.Fatalf("capped request must bypass the queue with its cap; calls = %d, max = %d", calls.Load(), sawMax.Load())
+	}
+}
+
+// TestFlushSoloRetryBound: one flush of a wide fan-out carries several
+// envelopes, and when every one of them fails, their solo retries share
+// one soloRetryParallelism bound instead of opening that many slots per
+// envelope. A solo call holds its slot until the bound is exceeded or a
+// short wait passes, so unbounded retries pile up past the limit.
+func TestFlushSoloRetryBound(t *testing.T) {
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	over := make(chan struct{})
+	var once sync.Once
+	inner := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		if strings.HasPrefix(req.Prompt, "Below are ") {
+			return llm.Response{}, fmt.Errorf("outage")
+		}
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		if inFlight > soloRetryParallelism {
+			once.Do(func() { close(over) })
+		}
+		mu.Unlock()
+		select {
+		case <-over:
+		case <-time.After(5 * time.Millisecond):
+		}
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		return llm.Response{Text: "ok:" + req.Prompt, Model: "m"}, nil
+	}}
+	b := NewBatching(inner, BatchOptions{MaxBatch: 8})
+	out := completeN(t, b, 64)
+	for i, text := range out {
+		if want := fmt.Sprintf("ok:task %d\ndo it\n", i); text != want {
+			t.Fatalf("task %d answer = %q, want %q", i, text, want)
+		}
+	}
+	if batches, _, retried := b.Stats(); batches != 8 || retried != 64 {
+		t.Fatalf("stats = %d envelopes / %d solo retries, want 8 / 64", batches, retried)
+	}
+	if peak > soloRetryParallelism {
+		t.Fatalf("%d solo retries in flight at once, want at most %d per flush", peak, soloRetryParallelism)
 	}
 }

@@ -31,7 +31,8 @@ var ErrBudgetExhausted = errors.New("workflow: budget exhausted")
 type Budget struct {
 	mu sync.Mutex
 	// maxDollars <= 0 means no dollar cap; maxTokens <= 0 no token cap;
-	// maxCalls <= 0 no call cap.
+	// maxCalls <= 0 no call cap. Caps are fixed at construction, so they
+	// are read without mu.
 	maxDollars float64
 	maxTokens  int
 	maxCalls   int
@@ -81,6 +82,12 @@ func (b *Budget) Allows(model string, estimate token.Usage) bool {
 		return false
 	}
 	return true
+}
+
+// capped reports whether any cap is set: an uncapped budget admits every
+// call, so admission can skip estimating it.
+func (b *Budget) capped() bool {
+	return b.maxDollars > 0 || b.maxTokens > 0 || b.maxCalls > 0
 }
 
 func (b *Budget) exceededLocked() bool {
@@ -159,15 +166,19 @@ func NewBudgeted(m llm.Model, b *Budget) *BudgetedModel {
 // Name implements llm.Model.
 func (m *BudgetedModel) Name() string { return m.inner.Name() }
 
-// Complete implements llm.Model with admission control and charging.
+// Complete implements llm.Model with admission control and charging. An
+// uncapped budget skips admission, which would always pass, and only
+// charges.
 func (m *BudgetedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	estimate := token.Usage{
-		PromptTokens:     token.Count(req.Prompt),
-		CompletionTokens: m.EstimateCompletion,
-		Calls:            1,
-	}
-	if !m.budget.Allows(m.inner.Name(), estimate) {
-		return llm.Response{}, fmt.Errorf("refusing call to %q: %w", m.inner.Name(), ErrBudgetExhausted)
+	if m.budget.capped() {
+		estimate := token.Usage{
+			PromptTokens:     token.Count(req.Prompt),
+			CompletionTokens: m.EstimateCompletion,
+			Calls:            1,
+		}
+		if !m.budget.Allows(m.inner.Name(), estimate) {
+			return llm.Response{}, fmt.Errorf("refusing call to %q: %w", m.inner.Name(), ErrBudgetExhausted)
+		}
 	}
 	resp, err := m.inner.Complete(ctx, req)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,39 @@ func TestCachedModelLoadRejectsJunk(t *testing.T) {
 	c := NewCached(fixedModel("m", "x"))
 	if err := c.Load(bytes.NewReader([]byte("{not json"))); err == nil {
 		t.Fatal("junk input should error")
+	}
+}
+
+// TestBudgetedModelUnlimitedIsFree: an uncapped budget admits every call
+// without estimating it, so the wrapper allocates nothing per call while
+// Spent stays exact; a capped budget still estimates and refuses.
+func TestBudgetedModelUnlimitedIsFree(t *testing.T) {
+	resp := llm.Response{Text: "hello", Model: "m", Usage: token.Usage{PromptTokens: 3, CompletionTokens: 1, Calls: 1}}
+	stub := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) { return resp, nil }}
+	b := Unlimited()
+	m := NewBudgeted(stub, b)
+	ctx, req := context.Background(), llm.Request{Prompt: strings.Repeat("a unit task prompt of some words\n", 4)}
+	runs := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		runs++
+		if _, err := m.Complete(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("uncapped BudgetedModel.Complete allocates %.1f per call, want 0", allocs)
+	}
+	want := 0.0
+	for i := 0; i < runs; i++ {
+		want += token.PriceFor("m").Cost(resp.Usage)
+	}
+	if u, dollars := b.Spent(); u.Calls != runs || u.PromptTokens != 3*runs || u.CompletionTokens != runs || dollars != want {
+		t.Fatalf("spent = %+v, $%v after %d calls, want $%v", u, dollars, runs, want)
+	}
+
+	// A token cap below the prompt's estimate refuses before any call.
+	capped := NewBudgeted(stub, NewBudget(0, 10, 0))
+	if _, err := capped.Complete(ctx, llm.Request{Prompt: strings.Repeat("word ", 20)}); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("capped budget admitted an over-cap call: %v", err)
 	}
 }
