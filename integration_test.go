@@ -15,7 +15,6 @@ import (
 	"repro/internal/llm/httpapi"
 	"repro/internal/llm/sim"
 	"repro/internal/metrics"
-	"repro/internal/workflow"
 )
 
 // TestEndToEndSortOverHTTP runs a complete declarative workload through
@@ -136,29 +135,6 @@ func TestEndToEndModelFailurePropagates(t *testing.T) {
 	})
 	if !errors.Is(err, llm.ErrTransient) {
 		t.Fatalf("want injected failure to propagate, got %v", err)
-	}
-}
-
-// TestEndToEndRateLimitedEngine drives an operator through a rate-limited
-// model and confirms correctness is unaffected.
-func TestEndToEndRateLimitedEngine(t *testing.T) {
-	limiter := workflow.NewRateLimiter(10000, 8)
-	model := workflow.NewRateLimited(NewSimModel("sim-gpt-4"), limiter)
-	engine := NewEngine(model, WithParallelism(4))
-	res, err := engine.Max(context.Background(), MaxRequest{
-		Items:     dataset.FlavorNames(),
-		Criterion: "how chocolatey they are",
-		Strategy:  MaxRatingThenTournament,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := map[string]bool{}
-	for _, f := range dataset.FlavorGroundTruth()[:4] {
-		top[f] = true
-	}
-	if !top[res.Item] {
-		t.Fatalf("max = %q, want a top-band flavour", res.Item)
 	}
 }
 

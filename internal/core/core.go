@@ -76,17 +76,18 @@ func WithRetries(r int) Option {
 	return func(e *Engine) { e.retries = r }
 }
 
-// WithoutCache disables response caching (enabled by default; identical
-// unit tasks are answered once and re-served free, as in production
-// deployments).
+// WithoutCache disables response caching (enabled by default: each
+// operator invocation gets a private execution layer, so identical unit
+// tasks — concurrent ones included — are answered upstream once and
+// re-served free). It is ignored while WithExecutionLayer is attached.
 func WithoutCache() Option {
 	return func(e *Engine) { e.cache = false }
 }
 
-// WithExecutionLayer attaches a shared execution layer: one sharded
-// response cache plus one in-flight coalescer spanning every operator
-// this engine runs — and every other engine given the same layer. It
-// replaces the default per-invocation cache; WithoutCache is ignored
+// WithExecutionLayer attaches a shared execution layer: one sharded memo
+// of answered and in-flight requests spanning every operator this engine
+// runs — and every other engine given the same layer. It replaces the
+// default private layer per operator invocation; WithoutCache is ignored
 // while a layer is attached.
 func WithExecutionLayer(l *workflow.ExecLayer) Option {
 	return func(e *Engine) { e.exec = l }
@@ -203,8 +204,9 @@ func (e *Engine) Model() llm.Model { return e.model }
 // session wraps the engine's model for one operator invocation: budget
 // admission, usage counting scoped to the operation, optional per-stage
 // usage attribution (tag read from the call context), optional unit-task
-// batching, and a cache — the engine's shared execution layer when one is
-// attached, a private per-invocation cache otherwise.
+// batching, and the execution layer's memo — the engine's shared layer
+// when one is attached, otherwise a private layer for this invocation
+// alone (none under WithoutCache).
 type session struct {
 	model    llm.Model
 	counting *llm.CountingModel
@@ -233,22 +235,23 @@ func (e *Engine) sessionWith(batchable bool) *session {
 		// with the stage label of the context that led the call.
 		m = workflow.NewAttributing(m, e.attr)
 	}
+	layer := e.exec
+	if layer == nil && e.cache {
+		layer = workflow.NewExecLayer()
+	}
 	if batchable && e.batch > 1 {
 		opts := workflow.BatchOptions{MaxBatch: e.batch}
-		if e.exec != nil {
-			// The shared layer aggregates envelope and solo-retry counts
-			// across every per-session batcher, so ExecLayer.Stats reports
+		if layer != nil {
+			// The layer aggregates envelope and solo-retry counts across
+			// every per-session batcher, so ExecLayer.Stats reports
 			// batching alongside cache hits and coalescing.
-			opts.Observer = e.exec
+			opts.Observer = layer
 		}
 		m = workflow.NewBatching(m, opts)
 		width *= e.batch
 	}
-	switch {
-	case e.exec != nil:
-		m = e.exec.Wrap(m)
-	case e.cache:
-		m = workflow.NewCached(m)
+	if layer != nil {
+		m = layer.Wrap(m)
 	}
 	return &session{model: m, counting: counting, width: width}
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/llm"
 	"repro/internal/llm/sim"
 	"repro/internal/metrics"
 	"repro/internal/token"
@@ -380,6 +383,41 @@ func TestFilterStrategies(t *testing.T) {
 	maj, _ := e.Filter(ctx(), FilterRequest{Items: items, Predicate: pred, Strategy: FilterMajority, Votes: 7})
 	if seq.Asks >= maj.Asks {
 		t.Errorf("sequential asks (%d) should undercut fixed-7 majority (%d)", seq.Asks, maj.Asks)
+	}
+}
+
+// TestFilterWithoutLayerCoalescesIdenticalAsks: an engine given no
+// execution layer still sends each distinct unit task upstream once per
+// invocation, even when identical asks are in flight together. The gate
+// holds every upstream call until all four tasks have reached the model
+// or 200 ms pass, so three concurrent "a" asks that each paid would show
+// as four calls.
+func TestFilterWithoutLayerCoalescesIdenticalAsks(t *testing.T) {
+	items := []string{"a", "a", "a", "b"}
+	var calls atomic.Int64
+	all := make(chan struct{})
+	gate := llm.Func{ModelName: "gate", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+		if calls.Add(1) == int64(len(items)) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(200 * time.Millisecond):
+		}
+		return llm.Response{Text: "Yes", Model: "gate", Usage: token.Usage{PromptTokens: 1, CompletionTokens: 1, Calls: 1}}, nil
+	}}
+	e := New(gate, WithParallelism(len(items)))
+	res, err := e.Filter(ctx(), FilterRequest{Items: items, Predicate: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 2 || res.Usage.Calls != 2 {
+		t.Fatalf("upstream calls = %d (usage %d), want 2: one per distinct prompt", n, res.Usage.Calls)
+	}
+	for i, keep := range res.Keep {
+		if !keep {
+			t.Fatalf("item %d dropped; every ask answered Yes", i)
+		}
 	}
 }
 

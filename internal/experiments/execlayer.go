@@ -84,8 +84,8 @@ func execWorkload(ctx context.Context, engine *core.Engine, items []string, imp 
 // repeated workload. Three configurations run the identical operator mix
 // Repeats times:
 //
-//   - isolated: the seed behaviour — every operator invocation gets a
-//     private cache, so repeats pay full price;
+//   - isolated: no shared layer — every operator invocation gets a
+//     private one, so repeats across invocations pay full price;
 //   - shared: one ExecLayer (sharded cache + coalescer) across all
 //     engines and repeats;
 //   - shared+batch: the same layer plus unit-task batching.

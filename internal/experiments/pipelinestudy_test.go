@@ -29,6 +29,13 @@ func TestPipelineStudyPinned(t *testing.T) {
 	if !res.Identical {
 		t.Fatal("optimized pipeline results differ from naive sequential results at temperature 0")
 	}
+	// The naive row runs without a shared execution layer: each operator
+	// invocation memoizes through a private one, so identical asks in one
+	// fan-out coalesce and the count is the same under any schedule.
+	if res.Naive.UpstreamCalls != 591 || res.Naive.UpstreamTokens != 63499 {
+		t.Fatalf("naive row = %d calls / %d tokens, want 591 / 63499",
+			res.Naive.UpstreamCalls, res.Naive.UpstreamTokens)
+	}
 	if res.Optimized.UpstreamCalls >= res.Naive.UpstreamCalls {
 		t.Fatalf("optimized calls = %d, want strictly fewer than naive %d",
 			res.Optimized.UpstreamCalls, res.Naive.UpstreamCalls)

@@ -23,9 +23,10 @@ type SequentialConfig struct {
 // RunSequential is naive sequential operator invocation, the reference
 // the streaming executor is measured and pinned against: stages run one
 // at a time in spec order, each over its whole input table on a fresh
-// engine with only that engine's private per-invocation cache. No work
-// is shared between stages, so the run pays every call a user calling
-// the operators one by one would. At temperature 0 its tables, scalars,
+// engine with only the private execution layer each operator invocation
+// builds (identical asks inside one invocation are answered once, under
+// any schedule). No work is shared between stages, so the run pays every
+// call a user calling the operators one by one would. At temperature 0 its tables, scalars,
 // and details are byte-identical to Run's.
 func (p *Pipeline) RunSequential(ctx context.Context, cfg SequentialConfig, tables map[string][]dataset.Record) (*Result, error) {
 	source, ok := tables["source"]

@@ -698,9 +698,9 @@ func (s *Server) Submit(ctx context.Context, req SubmitRequest) (*JobStatus, err
 	return j.status(), nil
 }
 
-// runJob waits out the queue, runs the pipeline via a cancellable handle,
-// and records the outcome. It owns the job's gate ticket and WaitGroup
-// slot.
+// runJob waits out the queue, runs the pipeline under the job's
+// cancellable context, and records the outcome. It owns the job's gate
+// ticket and WaitGroup slot.
 func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *pipeline.Pipeline, tables map[string][]dataset.Record) {
 	defer s.wg.Done()
 	defer j.cancel()
@@ -723,10 +723,7 @@ func (s *Server) runJob(ctx context.Context, j *job, t *tenant, tk *ticket, p *p
 		Adaptive:      s.cfg.Adaptive,
 		OnRecordError: s.cfg.OnRecordError,
 	}
-	h := p.Start(ctx, cfg, tables)
-	// The handle's context is this job's: cancellation reaches the run
-	// directly, so waiting on Background never blocks past the run's end.
-	res, err := h.Wait(context.Background())
+	res, err := p.Run(ctx, cfg, tables)
 	wall := time.Since(start)
 
 	t.mu.Lock()

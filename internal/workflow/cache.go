@@ -1,20 +1,15 @@
 package workflow
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/llm"
-	"repro/internal/token"
 )
 
-// DefaultCacheShards is the shard count used by NewCache(0) and NewCached.
+// DefaultCacheShards is the shard count used by NewCache(0).
 // Sixteen shards keep lock contention negligible at the engine's default
 // parallelism while costing nothing at low concurrency.
 const DefaultCacheShards = 16
@@ -62,9 +57,10 @@ type cacheShard struct {
 // Cache is a sharded, concurrency-safe response store. Keys are spread
 // across shards by a hash of the prompt, so concurrent lookups under
 // workflow.Map's parallelism contend per shard rather than on one global
-// mutex. A Cache can back any number of CachedModel wrappers at once —
-// the key includes the model name — which is how one cache spans every
-// operator of a session (see ExecLayer).
+// mutex. A Cache can back any number of wrapped models at once — the key
+// includes the model name — which is how one cache spans every operator
+// of a session (see ExecLayer). It is persisted only through a CacheLog
+// (cachelog.go).
 type Cache struct {
 	shards []cacheShard
 	// coalesced counts asks answered by joining another caller's
@@ -97,8 +93,6 @@ func (c *Cache) shard(key cacheKey) *cacheShard {
 }
 
 // get returns the cached response for key, counting a hit.
-func (c *Cache) get(key cacheKey) (llm.Response, bool) { return c.shard(key).get(key) }
-
 func (s *cacheShard) get(key cacheKey) (llm.Response, bool) {
 	s.mu.RLock()
 	resp, ok := s.entries[key]
@@ -133,9 +127,9 @@ func (c *Cache) Put(model, prompt string, resp llm.Response) {
 	c.put(cacheKey{model: model, prompt: prompt}, resp)
 }
 
-// loadEntry is put without dirty marking: entries arriving from persisted
-// state (snapshot Load, log replay) are already durable and must not be
-// re-appended by the next flush.
+// loadEntry is put without dirty marking: entries arriving from log
+// replay are already durable and must not be re-appended by the next
+// flush.
 func (c *Cache) loadEntry(key cacheKey, resp llm.Response) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -171,7 +165,7 @@ func (c *Cache) markDirty(keys map[cacheKey]llm.Response) {
 	}
 }
 
-// snapshot copies the full live contents, for compaction and Save.
+// snapshot copies the full live contents, for compaction.
 func (c *Cache) snapshot() map[cacheKey]llm.Response {
 	all := make(map[cacheKey]llm.Response)
 	for i := range c.shards {
@@ -197,20 +191,20 @@ func (c *Cache) Stats() (size, hits int) {
 	return size, hits
 }
 
-// cacheEntry is the JSON persistence form of one cached response.
+// cacheEntry is the decoded payload of one cache log record.
 type cacheEntry struct {
-	Model       string  `json:"model"`
-	Prompt      string  `json:"prompt"`
-	Temperature float64 `json:"temperature,omitempty"`
-	MaxTokens   int     `json:"max_tokens,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
-	Text        string  `json:"text"`
+	Model       string
+	Prompt      string
+	Temperature float64
+	MaxTokens   int
+	Seed        int64
+	Text        string
 }
 
-// sortEntries orders persistence entries deterministically: the full
+// sortEntries orders log entries deterministically: the full
 // cache key participates, so a cache shared by several models (or mixed
 // sampling parameters) still serializes identically run after run. The
-// snapshot Save, the log flush, and compaction all use this one order.
+// log flush and compaction both use this one order.
 func sortEntries(entries []cacheEntry) {
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
@@ -230,7 +224,7 @@ func sortEntries(entries []cacheEntry) {
 	})
 }
 
-// entryList converts a contents map into the sorted persistence form.
+// entryList converts a contents map into sorted log entries.
 func entryList(m map[cacheKey]llm.Response) []cacheEntry {
 	entries := make([]cacheEntry, 0, len(m))
 	for k, v := range m {
@@ -247,7 +241,7 @@ func entryList(m map[cacheKey]llm.Response) []cacheEntry {
 	return entries
 }
 
-// key returns the cache key of a persistence entry.
+// key returns the cache key of a log entry.
 func (e cacheEntry) key() cacheKey {
 	return cacheKey{
 		model:       e.Model,
@@ -257,120 +251,3 @@ func (e cacheEntry) key() cacheKey {
 		seed:        e.Seed,
 	}
 }
-
-// Save writes the cache contents as a deterministic JSON snapshot, so long
-// experiment sweeps can be resumed across process restarts without
-// re-spending tokens. The snapshot is O(cache) per save; processes that
-// save repeatedly should use a CacheLog instead (cachelog.go), whose flush
-// is O(new entries).
-func (c *Cache) Save(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(entryList(c.snapshot())); err != nil {
-		return fmt.Errorf("workflow: save cache: %w", err)
-	}
-	return nil
-}
-
-// SnapshotError reports a corrupt or truncated cache snapshot handed to
-// Load. Loading is all-or-nothing: no entries from the bad stream were
-// merged, so the caller can keep running with whatever the cache already
-// held. The actionable fix is to delete (or regenerate) the snapshot file;
-// switching persistence to a CacheLog additionally makes partial writes
-// recoverable instead of fatal (replay keeps the valid prefix).
-type SnapshotError struct {
-	// Reason describes what was wrong with the stream.
-	Reason string
-	// Err is the underlying decode error, when one exists.
-	Err error
-}
-
-func (e *SnapshotError) Error() string {
-	msg := "workflow: cache snapshot corrupt: " + e.Reason +
-		" (no entries loaded; delete or regenerate the snapshot file," +
-		" or persist via CacheLog for torn-write recovery)"
-	if e.Err != nil {
-		msg += ": " + e.Err.Error()
-	}
-	return msg
-}
-
-func (e *SnapshotError) Unwrap() error { return e.Err }
-
-// Load merges previously saved cache contents. Loaded entries carry zero
-// usage, like any cache hit. Entries for other model names are kept too
-// (the key includes the model), so one file can serve a registry.
-//
-// An empty stream loads nothing and returns nil (a fresh snapshot file is
-// a valid empty cache). A malformed or truncated stream returns a
-// *SnapshotError and merges nothing — loading is all-or-nothing, unlike
-// CacheLog replay, which recovers the valid prefix of a torn log.
-func (c *Cache) Load(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	var entries []cacheEntry
-	if err := dec.Decode(&entries); err != nil {
-		if err == io.EOF {
-			return nil // empty stream: a valid empty snapshot
-		}
-		return &SnapshotError{Reason: "malformed JSON", Err: err}
-	}
-	// A snapshot is exactly one array; trailing non-whitespace means the
-	// file was corrupted (e.g. two interleaved writers) even though a
-	// prefix parsed.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return &SnapshotError{Reason: "trailing data after snapshot array"}
-	}
-	for _, e := range entries {
-		c.loadEntry(e.key(), llm.Response{Text: e.Text, Model: e.Model})
-	}
-	return nil
-}
-
-// CachedModel wraps a model with a response cache. Identical requests hit
-// the cache and cost nothing — the standard production optimisation for
-// temperature-0 workloads, and what makes re-running experiment sweeps
-// cheap. Safe for concurrent use.
-type CachedModel struct {
-	inner llm.Model
-	cache *Cache
-}
-
-// NewCached wraps m with a fresh private cache.
-func NewCached(m llm.Model) *CachedModel {
-	return NewCachedWith(m, NewCache(0))
-}
-
-// NewCachedWith wraps m against an existing (possibly shared) cache.
-func NewCachedWith(m llm.Model, c *Cache) *CachedModel {
-	return &CachedModel{inner: m, cache: c}
-}
-
-// Name implements llm.Model.
-func (c *CachedModel) Name() string { return c.inner.Name() }
-
-// Cache returns the backing store, for persistence and sharing.
-func (c *CachedModel) Cache() *Cache { return c.cache }
-
-// Complete implements llm.Model, serving repeats from cache. Cached
-// responses are returned with zero usage, mirroring that no API call was
-// made.
-func (c *CachedModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
-	key := keyFor(c.inner.Name(), req)
-	if resp, ok := c.cache.get(key); ok {
-		resp.Usage = token.Usage{}
-		return resp, nil
-	}
-	resp, err := c.inner.Complete(ctx, req)
-	if err != nil {
-		return resp, err
-	}
-	c.cache.put(key, resp)
-	return resp, nil
-}
-
-// Stats returns cache size and hit count.
-func (c *CachedModel) Stats() (size, hits int) { return c.cache.Stats() }
-
-// Save writes the backing cache as JSON (see Cache.Save).
-func (c *CachedModel) Save(w io.Writer) error { return c.cache.Save(w) }
-
-// Load merges previously saved contents (see Cache.Load).
-func (c *CachedModel) Load(r io.Reader) error { return c.cache.Load(r) }

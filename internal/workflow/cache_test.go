@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -49,21 +48,22 @@ func TestCacheSpreadsAcrossShards(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentAccess hammers one shared cache from many goroutines
-// with overlapping keys; run under -race this is the concurrency-safety
-// proof for the sharded rewrite.
+// TestCacheConcurrentAccess hammers one shared layer from many goroutines
+// with overlapping keys: every prompt is answered upstream exactly once,
+// and every other ask is a hit or a coalesced follower. Run under -race
+// this is the concurrency-safety proof for the sharded memo.
 func TestCacheConcurrentAccess(t *testing.T) {
 	var calls atomic.Int64
-	cache := NewCache(0)
-	const workers, prompts = 16, 10
+	layer := NewExecLayer()
+	const workers, prompts, asks = 16, 10, 50
 	var wg sync.WaitGroup
 	ctx := context.Background()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			m := NewCachedWith(echoModel("m", &calls), cache)
-			for i := 0; i < 50; i++ {
+			m := layer.Wrap(echoModel("m", &calls))
+			for i := 0; i < asks; i++ {
 				p := fmt.Sprintf("prompt-%d", i%prompts)
 				resp, err := m.Complete(ctx, llm.Request{Prompt: p})
 				if err != nil {
@@ -78,27 +78,26 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Every prompt was answered upstream at least once; without
-	// coalescing, concurrent first requests may race to a handful of
-	// duplicate upstream calls, but never more than workers per prompt.
-	if n := calls.Load(); n < prompts || n > prompts*workers {
-		t.Fatalf("upstream calls = %d, want within [%d, %d]", n, prompts, prompts*workers)
+	if n := calls.Load(); n != prompts {
+		t.Fatalf("upstream calls = %d, want %d (one per distinct prompt)", n, prompts)
 	}
-	size, hits := cache.Stats()
-	if size != prompts {
-		t.Fatalf("cache size = %d, want %d", size, prompts)
+	st := layer.Stats()
+	if st.CacheSize != prompts {
+		t.Fatalf("cache size = %d, want %d", st.CacheSize, prompts)
 	}
-	if total := int64(workers * 50); int64(hits)+calls.Load() != total {
-		t.Fatalf("hits (%d) + upstream (%d) != requests (%d)", hits, calls.Load(), total)
+	if total := int64(workers * asks); int64(st.CacheHits+st.Coalesced)+calls.Load() != total {
+		t.Fatalf("hits (%d) + coalesced (%d) + upstream (%d) != requests (%d)", st.CacheHits, st.Coalesced, calls.Load(), total)
 	}
 }
 
+// TestSharedCacheSpansModels: one layer wrapping two models keeps their
+// entries apart by model name and serves each model's repeats.
 func TestSharedCacheSpansModels(t *testing.T) {
 	var calls atomic.Int64
-	cache := NewCache(0)
+	layer := NewExecLayer()
 	ctx := context.Background()
-	a := NewCachedWith(echoModel("model-a", &calls), cache)
-	b := NewCachedWith(echoModel("model-b", &calls), cache)
+	a := layer.Wrap(echoModel("model-a", &calls))
+	b := layer.Wrap(echoModel("model-b", &calls))
 	if _, err := a.Complete(ctx, llm.Request{Prompt: "p"}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,92 +114,5 @@ func TestSharedCacheSpansModels(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("repeat should hit shared cache: calls = %d, want 2", calls.Load())
-	}
-}
-
-// TestCacheSaveDeterministicAcrossModels: a shared multi-model cache with
-// entries differing only in model, temperature, or max-tokens must
-// serialize byte-identically regardless of insertion order — the property
-// that makes persisted experiment caches diffable and reproducible.
-func TestCacheSaveDeterministicAcrossModels(t *testing.T) {
-	entries := []cacheKey{
-		{model: "model-b", prompt: "p", temperature: 0.7, seed: 1},
-		{model: "model-a", prompt: "p", temperature: 0.7, seed: 1},
-		{model: "model-a", prompt: "p", temperature: 0, seed: 1},
-		{model: "model-a", prompt: "p", temperature: 0.7, maxTokens: 32, seed: 1},
-		{model: "model-b", prompt: "p", seed: 2},
-		{model: "model-a", prompt: "q"},
-	}
-	save := func(order []int) string {
-		c := NewCache(4)
-		for _, i := range order {
-			c.put(entries[i], llm.Response{Text: fmt.Sprintf("t%d", i)})
-		}
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	forward := save([]int{0, 1, 2, 3, 4, 5})
-	backward := save([]int{5, 4, 3, 2, 1, 0})
-	if forward != backward {
-		t.Fatalf("save output depends on insertion order:\n%s\nvs\n%s", forward, backward)
-	}
-
-	// Round trip: a fresh cache loaded from the file serves every entry,
-	// keyed by the full (model, temperature, maxTokens, seed) identity.
-	fresh := NewCache(4)
-	if err := fresh.Load(bytes.NewReader([]byte(forward))); err != nil {
-		t.Fatal(err)
-	}
-	for i, key := range entries {
-		resp, ok := fresh.get(key)
-		if !ok || resp.Text != fmt.Sprintf("t%d", i) {
-			t.Fatalf("entry %d (%+v) round-tripped to (%q, %v)", i, key, resp.Text, ok)
-		}
-	}
-	var buf bytes.Buffer
-	if err := fresh.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != forward {
-		t.Fatal("save -> load -> save is not a fixed point")
-	}
-}
-
-func TestExecLayerSaveLoadRoundTrip(t *testing.T) {
-	var calls atomic.Int64
-	layer := NewExecLayerShards(4)
-	ctx := context.Background()
-	m1 := layer.Wrap(echoModel("m", &calls))
-	for i := 0; i < 5; i++ {
-		if _, err := m1.Complete(ctx, llm.Request{Prompt: fmt.Sprintf("p%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := layer.Cache().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := NewExecLayer()
-	if err := fresh.Cache().Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	m2 := fresh.Wrap(echoModel("m", &calls))
-	before := calls.Load()
-	resp, err := m2.Complete(ctx, llm.Request{Prompt: "p3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != before {
-		t.Fatalf("loaded entry should serve without an upstream call")
-	}
-	if resp.Text != "echo:p3" {
-		t.Fatalf("loaded text = %q", resp.Text)
-	}
-	if st := fresh.Stats(); st.CacheSize != 5 || st.CacheHits != 1 {
-		t.Fatalf("stats = %+v, want size 5 hits 1", st)
 	}
 }

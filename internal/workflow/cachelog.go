@@ -18,11 +18,10 @@ import (
 // CacheLog is the append-only persistence form of a Cache: one
 // length-prefixed, checksummed binary record per inserted entry, appended
 // in O(entry) — no rewrite of existing bytes — with an explicit
-// compaction that rewrites live entries only. It replaces the O(cache)
-// whole-file JSON snapshot (Cache.Save) for long-running or frequently
-// flushed processes: a flush costs only the delta since the previous
-// flush, and a crash mid-append loses at most the final partial record
-// (Replay recovers the valid prefix and truncates the torn tail).
+// compaction that rewrites live entries only. It is the only way a Cache
+// is persisted: a flush costs only the delta since the previous flush,
+// and a crash mid-append loses at most the final partial record (Replay
+// recovers the valid prefix and truncates the torn tail).
 //
 // Layout:
 //
@@ -83,8 +82,8 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNotCacheLog reports that a file exists at the log path but does not
-// start with the cache-log magic — likely a JSON snapshot or an unrelated
-// file, which OpenCacheLog refuses to append to.
+// start with the cache-log magic — an unrelated file, which OpenCacheLog
+// refuses to append to.
 var ErrNotCacheLog = errors.New("workflow: file is not a cache log")
 
 // OpenCacheLog opens the log at path, creating it (and its parent
@@ -233,8 +232,7 @@ func decodeRecordPayload(p []byte) (cacheEntry, bool) {
 // intact record, and ReplayStats.Recovered reports it. Corruption earlier
 // in the file is handled the same way (everything after the first bad
 // record is dropped), so at worst a flipped byte costs the suffix — never
-// a crash, never a poisoned cache. Contrast Cache.Load, whose snapshot
-// format is all-or-nothing.
+// a crash, never a poisoned cache.
 func (lg *CacheLog) Replay(c *Cache) (ReplayStats, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
@@ -293,9 +291,9 @@ func (lg *CacheLog) Replay(c *Cache) (ReplayStats, error) {
 // Flush appends every entry inserted into c since the last Flush (or
 // Compact) and syncs the file — O(delta): existing log bytes are never
 // rewritten. Within one flush the delta is deduplicated by key and
-// appended in the deterministic snapshot order, so one workload flushed
-// once produces one byte-identical log. Returns the number of records
-// appended.
+// appended in the deterministic entry order (sortEntries), so one
+// workload flushed once produces one byte-identical log. Returns the
+// number of records appended.
 func (lg *CacheLog) Flush(c *Cache) (int, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
@@ -334,7 +332,7 @@ func (lg *CacheLog) Flush(c *Cache) (int, error) {
 }
 
 // Compact rewrites the log to exactly c's live entries (in deterministic
-// snapshot order), atomically: the replacement is written beside the log
+// entry order), atomically: the replacement is written beside the log
 // and renamed over it, so a crash mid-compaction leaves the old log
 // intact. Unflushed entries are included — compaction makes every pending
 // delta durable — so the dirty state is cleared too. Compact when the

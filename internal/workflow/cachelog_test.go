@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,16 +34,14 @@ func fillCache(c *Cache, n, salt int) []cacheKey {
 	return keys
 }
 
-// saveBytes returns the cache's canonical snapshot form, the equivalence
-// oracle for every log test: two caches with identical contents produce
-// identical snapshots.
-func saveBytes(t *testing.T, c *Cache) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+// contents maps every key of c to its cached text, the equivalence
+// oracle for every log test: a log persists keys and texts, never usage.
+func contents(c *Cache) map[cacheKey]string {
+	m := make(map[cacheKey]string)
+	for k, v := range c.snapshot() {
+		m[k] = v.Text
 	}
-	return buf.Bytes()
+	return m
 }
 
 func openLog(t *testing.T, path string) *CacheLog {
@@ -74,8 +72,8 @@ func TestCacheLogRoundTrip(t *testing.T) {
 	if stats.Records != 50 || stats.Recovered {
 		t.Fatalf("ReplayStats = %+v, want 50 clean records", stats)
 	}
-	if got, want := saveBytes(t, restored), saveBytes(t, c); !bytes.Equal(got, want) {
-		t.Fatalf("replayed contents differ from original:\n%s\nvs\n%s", got, want)
+	if got, want := contents(restored), contents(c); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed contents differ from original:\n%v\nvs\n%v", got, want)
 	}
 }
 
@@ -119,9 +117,65 @@ func TestCacheLogAppendIsDelta(t *testing.T) {
 	}
 }
 
+// TestCacheLogCompactDeterministicAcrossModels: a shared multi-model
+// cache whose entries differ only in model, temperature, max tokens or
+// seed compacts to byte-identical logs whatever the insertion order — the
+// property that makes persisted caches diffable and reproducible — and
+// the log replays every entry under its full key, to a fixed point.
+func TestCacheLogCompactDeterministicAcrossModels(t *testing.T) {
+	entries := []cacheKey{
+		{model: "model-b", prompt: "p", temperature: 0.7, seed: 1},
+		{model: "model-a", prompt: "p", temperature: 0.7, seed: 1},
+		{model: "model-a", prompt: "p", temperature: 0, seed: 1},
+		{model: "model-a", prompt: "p", temperature: 0.7, maxTokens: 32, seed: 1},
+		{model: "model-b", prompt: "p", seed: 2},
+		{model: "model-a", prompt: "q"},
+	}
+	fill := func(order []int) *Cache {
+		c := NewCache(4)
+		for _, i := range order {
+			c.put(entries[i], llm.Response{Text: fmt.Sprintf("t%d", i)})
+		}
+		return c
+	}
+	compact := func(c *Cache) (string, []byte) {
+		path := filepath.Join(t.TempDir(), "cache.log")
+		if err := openLog(t, path).Compact(c); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, data
+	}
+	path, forward := compact(fill([]int{0, 1, 2, 3, 4, 5}))
+	_, backward := compact(fill([]int{5, 4, 3, 2, 1, 0}))
+	if !bytes.Equal(forward, backward) {
+		t.Fatalf("compacted log depends on insertion order:\n%q\nvs\n%q", forward, backward)
+	}
+
+	fresh := NewCache(4)
+	if _, err := openLog(t, path).Replay(fresh); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	got := contents(fresh)
+	if len(got) != len(entries) {
+		t.Fatalf("replayed %d entries, want %d", len(got), len(entries))
+	}
+	for i, key := range entries {
+		if text, ok := got[key]; !ok || text != fmt.Sprintf("t%d", i) {
+			t.Fatalf("entry %d (%+v) replayed as (%q, %v)", i, key, text, ok)
+		}
+	}
+	if _, again := compact(fresh); !bytes.Equal(again, forward) {
+		t.Fatal("compact -> replay -> compact is not a fixed point")
+	}
+}
+
 // TestCacheLogReplayCompactEquivalence is the property test: for random
 // insert/overwrite workloads, (flush log; replay) and (compact; replay)
-// both reconstruct exactly the snapshot contents.
+// both reconstruct exactly the cache's contents.
 func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -149,15 +203,15 @@ func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 		if _, err := lg.Flush(c); err != nil {
 			t.Fatalf("trial %d: final Flush: %v", trial, err)
 		}
-		want := saveBytes(t, c)
+		want := contents(c)
 
 		replayed := NewCache(4)
 		lgr := openLog(t, path)
 		if _, err := lgr.Replay(replayed); err != nil {
 			t.Fatalf("trial %d: Replay: %v", trial, err)
 		}
-		if got := saveBytes(t, replayed); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: log replay diverged from snapshot", trial)
+		if got := contents(replayed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: log replay diverged from the cache", trial)
 		}
 
 		// Compact and replay again: same contents, no more records than
@@ -174,8 +228,8 @@ func TestCacheLogReplayCompactEquivalence(t *testing.T) {
 		if _, err := lgc.Replay(compacted); err != nil {
 			t.Fatalf("trial %d: post-compact Replay: %v", trial, err)
 		}
-		if got := saveBytes(t, compacted); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: compacted replay diverged from snapshot", trial)
+		if got := contents(compacted); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: compacted replay diverged from the cache", trial)
 		}
 	}
 }
@@ -292,9 +346,10 @@ func TestCacheLogBitFlipRecovery(t *testing.T) {
 func TestCacheLogConcurrentAppendsDuringQueries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.log")
 	lg := openLog(t, path)
-	c := NewCache(0)
+	layer := NewExecLayer()
+	c := layer.cache
 	var calls atomic.Int64
-	model := NewCachedWith(echoModel("m", &calls), c)
+	model := layer.Wrap(echoModel("m", &calls))
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -338,7 +393,7 @@ func TestCacheLogConcurrentAppendsDuringQueries(t *testing.T) {
 	if _, err := lgr.Replay(restored); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if got, want := saveBytes(t, restored), saveBytes(t, c); !bytes.Equal(got, want) {
+	if got, want := contents(restored), contents(c); !reflect.DeepEqual(got, want) {
 		t.Fatal("concurrent flushes lost or corrupted entries")
 	}
 }
@@ -376,46 +431,6 @@ func TestCacheLogFlushBeforeReplayRefused(t *testing.T) {
 	}
 	if _, err := lg2.Flush(c2); err != nil {
 		t.Fatalf("Flush after Replay: %v", err)
-	}
-}
-
-// TestCacheLoadTypedErrors pins the snapshot loader's error contract:
-// empty input is a valid empty cache, malformed input is a *SnapshotError
-// and merges nothing.
-func TestCacheLoadTypedErrors(t *testing.T) {
-	c := NewCache(2)
-	if err := c.Load(strings.NewReader("")); err != nil {
-		t.Fatalf("Load(empty) = %v, want nil", err)
-	}
-	cases := []string{
-		`[{"model":"m","prompt":"p","text":"t"}`, // truncated mid-stream
-		`{"model":"m"}`,                          // wrong shape
-		`not json at all`,
-		`[{"model":"m","prompt":"p","text":"t"}] trailing garbage`,
-	}
-	for _, in := range cases {
-		c := NewCache(2)
-		err := c.Load(strings.NewReader(in))
-		var se *SnapshotError
-		if !errors.As(err, &se) {
-			t.Fatalf("Load(%q) = %v, want *SnapshotError", in, err)
-		}
-		if size, _ := c.Stats(); size != 0 {
-			t.Fatalf("Load(%q) merged %d entries from a corrupt stream", in, size)
-		}
-	}
-	// A valid snapshot still round-trips.
-	good := NewCache(2)
-	fillCache(good, 5, 2)
-	var buf bytes.Buffer
-	if err := good.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(&buf); err != nil {
-		t.Fatalf("Load(valid) = %v", err)
-	}
-	if size, _ := c.Stats(); size != 5 {
-		t.Fatalf("loaded %d entries, want 5", size)
 	}
 }
 
@@ -465,6 +480,9 @@ func TestExecLayerStatePersistence(t *testing.T) {
 		if want := fmt.Sprintf("echo:q%d", i); resp.Text != want {
 			t.Fatalf("warm answer = %q, want %q", resp.Text, want)
 		}
+		if !resp.Usage.IsZero() {
+			t.Fatalf("warm hit for q%d carried usage %+v, want zero", i, resp.Usage)
+		}
 	}
 	if calls2.Load() != 0 {
 		t.Fatalf("warm start made %d upstream calls, want 0", calls2.Load())
@@ -490,7 +508,7 @@ func TestExecLayerAutoCompaction(t *testing.T) {
 	const n = compactMinRecords // live set: one overwrite round trips the trigger
 	put := func(gen int) {
 		for i := 0; i < n; i++ {
-			layer.Cache().Put("m", fmt.Sprintf("p%d", i), llm.Response{Text: fmt.Sprintf("g%d", gen), Model: "m"})
+			layer.cache.Put("m", fmt.Sprintf("p%d", i), llm.Response{Text: fmt.Sprintf("g%d", gen), Model: "m"})
 		}
 		if _, err := layer.FlushState(); err != nil {
 			t.Fatalf("FlushState gen %d: %v", gen, err)
@@ -517,11 +535,11 @@ func TestExecLayerAutoCompaction(t *testing.T) {
 	if _, err := warm.OpenState(dir); err != nil {
 		t.Fatalf("warm OpenState: %v", err)
 	}
-	size, _ := warm.Cache().Stats()
+	size, _ := warm.cache.Stats()
 	if size != n {
 		t.Fatalf("replayed cache has %d entries, want %d", size, n)
 	}
-	if resp, ok := warm.Cache().get(cacheKey{model: "m", prompt: "p0"}); !ok || resp.Text != "g2" {
+	if resp, ok := warm.cache.snapshot()[cacheKey{model: "m", prompt: "p0"}]; !ok || resp.Text != "g2" {
 		t.Fatalf("replayed p0 = (%+v, %v), want the last generation", resp, ok)
 	}
 	warm.CloseState()
@@ -579,7 +597,7 @@ func FuzzCacheLogReplay(f *testing.F) {
 		if _, err := lg2.Replay(again); err != nil {
 			t.Fatalf("re-replay after append: %v", err)
 		}
-		if _, ok := again.get(cacheKey{model: "fz", prompt: "after"}); !ok {
+		if _, ok := again.snapshot()[cacheKey{model: "fz", prompt: "after"}]; !ok {
 			t.Fatal("appended entry lost after recovery")
 		}
 	})

@@ -49,11 +49,11 @@ type ServeObserver interface {
 // ExecLayer is the shared high-throughput execution substrate: one
 // sharded memo cache — answered responses plus the upstream calls still in
 // flight — that spans every operator (and every engine) wrapped against
-// it. Without it, each operator invocation builds a private cache (core's
-// per-session default), so nothing is reused across operators and
-// concurrent identical requests all miss. With it, an identical unit task
-// is answered upstream exactly once per process — first by coalescing
-// while in flight, then by the cache forever after.
+// it. An identical unit task is answered upstream exactly once per layer —
+// first by coalescing while in flight, then by the cache forever after.
+// An engine given no layer builds a private one per operator invocation
+// (core's per-session default), so nothing is reused across operators but
+// concurrent identical asks within one fan-out still coalesce.
 //
 // The layer also implements BatchObserver: engines that batch below it
 // (core.WithBatching) report envelope and solo-retry counts here, so
@@ -92,9 +92,6 @@ func NewExecLayer() *ExecLayer { return NewExecLayerShards(0) }
 func NewExecLayerShards(shards int) *ExecLayer {
 	return &ExecLayer{cache: NewCache(shards)}
 }
-
-// Cache returns the shared cache handle, for Save/Load persistence.
-func (l *ExecLayer) Cache() *Cache { return l.cache }
 
 // Wrap layers the shared memo cache over m: an ask is answered from the
 // cache, or joins an identical call already in flight, or leads a new

@@ -1,13 +1,15 @@
 // Package workflow provides the execution machinery under the declarative
 // engine: monetary/token budget enforcement (the paper's "within the
-// specified monetary budget"), the shared execution layer (sharded
-// response cache plus in-flight request coalescing, see ExecLayer),
+// specified monetary budget"), the execution layer (one sharded memo of
+// answered and in-flight requests, persisted through an append-only log;
+// see ExecLayer and CacheLog — the only way a response is cached),
 // unit-task batching into envelope prompts (BatchingModel),
 // bounded-concurrency fan-out (Map) whose batch windows tell the batcher
-// when a fan-out's envelope is complete, client-side rate limiting, and
-// per-stage usage attribution (Attribution, TagStage) that lets one
-// shared budget be broken down by pipeline stage — including the
-// optimizer's selectivity probes under the reserved StageProbe label.
+// when a fan-out's envelope is complete, a token-bucket RateLimiter for
+// admission control, and per-stage usage attribution (Attribution,
+// TagStage) that lets one shared budget be broken down by pipeline stage
+// — including the optimizer's selectivity probes under the reserved
+// StageProbe label.
 // See docs/EXECUTION.md.
 package workflow
 

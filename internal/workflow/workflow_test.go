@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -92,13 +91,16 @@ func TestBudgetedModel(t *testing.T) {
 	}
 }
 
+// TestCachedModel: a repeat ask through the memo wrapper ExecLayer.Wrap
+// returns is served from the cache, free.
 func TestCachedModel(t *testing.T) {
 	var calls atomic.Int64
 	inner := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		calls.Add(1)
 		return llm.Response{Text: "v", Usage: token.Usage{PromptTokens: 1, Calls: 1}}, nil
 	}}
-	c := NewCached(inner)
+	layer := NewExecLayer()
+	c := layer.Wrap(inner)
 	r1, err := c.Complete(context.Background(), llm.Request{Prompt: "p"})
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +118,8 @@ func TestCachedModel(t *testing.T) {
 	if !r2.Usage.IsZero() {
 		t.Fatal("cache hits must report zero usage")
 	}
-	size, hits := c.Stats()
-	if size != 1 || hits != 1 {
-		t.Fatalf("stats = %d, %d", size, hits)
+	if st := layer.Stats(); st.CacheSize != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats = %+v, want size 1 hits 1", st)
 	}
 }
 
@@ -128,7 +129,7 @@ func TestCachedModelSeedSeparation(t *testing.T) {
 		calls.Add(1)
 		return llm.Response{Text: fmt.Sprintf("v%d", req.Seed)}, nil
 	}}
-	c := NewCached(inner)
+	c := NewExecLayer().Wrap(inner)
 	// Temperature > 0: different seeds are distinct requests.
 	c.Complete(context.Background(), llm.Request{Prompt: "p", Temperature: 1, Seed: 1})
 	c.Complete(context.Background(), llm.Request{Prompt: "p", Temperature: 1, Seed: 2})
@@ -151,7 +152,7 @@ func TestCachedModelDoesNotCacheErrors(t *testing.T) {
 		}
 		return llm.Response{Text: "ok"}, nil
 	}}
-	c := NewCached(inner)
+	c := NewExecLayer().Wrap(inner)
 	if _, err := c.Complete(context.Background(), llm.Request{Prompt: "p"}); err == nil {
 		t.Fatal("first call should fail")
 	}
@@ -242,59 +243,6 @@ func TestBudgetChargeAccumulatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCachedModelSaveLoad(t *testing.T) {
-	var calls atomic.Int64
-	inner := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		calls.Add(1)
-		return llm.Response{Text: "answer to " + req.Prompt, Model: "m",
-			Usage: token.Usage{PromptTokens: 3, CompletionTokens: 2, Calls: 1}}, nil
-	}}
-	c1 := NewCached(inner)
-	for _, p := range []string{"q1", "q2", "q3"} {
-		if _, err := c1.Complete(context.Background(), llm.Request{Prompt: p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := c1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh process: load the cache, repeats are free.
-	c2 := NewCached(inner)
-	if err := c2.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	before := calls.Load()
-	resp, err := c2.Complete(context.Background(), llm.Request{Prompt: "q2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != before {
-		t.Fatal("loaded cache should serve repeats without inner calls")
-	}
-	if resp.Text != "answer to q2" {
-		t.Fatalf("text = %q", resp.Text)
-	}
-	if !resp.Usage.IsZero() {
-		t.Fatal("loaded cache hits must report zero usage")
-	}
-	// Save is deterministic.
-	var buf2 bytes.Buffer
-	if err := c1.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("Save output not deterministic")
-	}
-}
-
-func TestCachedModelLoadRejectsJunk(t *testing.T) {
-	c := NewCached(fixedModel("m", "x"))
-	if err := c.Load(bytes.NewReader([]byte("{not json"))); err == nil {
-		t.Fatal("junk input should error")
 	}
 }
 
