@@ -65,8 +65,8 @@ func main() {
 	plModel := sub.String("model", "sim-gpt-3.5-turbo", "model name for pipeline")
 	plNaive := sub.Bool("naive", false, "run the pipeline unoptimized and sequentially, with a fresh engine per stage")
 	plProbe := sub.Int("probe", 0, "sample size for measured filter selectivity in pipeline (0 = trust spec hints)")
-	plChunk := sub.Int("chunk", 0, "records per streaming micro-batch for pipeline (0 = max(batch, 8); forces a fixed width)")
-	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: self-tuned chunk widths, mid-run filter re-ordering")
+	plChunk := sub.Int("chunk", 0, "records per chunk between pipeline stages (0 = parallelism × max(batch, 1), what one round trip carries)")
+	plAdaptive := sub.Bool("adaptive", false, "enable the adaptive runtime for pipeline: mid-run filter re-ordering at chunk boundaries")
 	plFaults := sub.String("faults", "",
 		"inject deterministic upstream faults for pipeline: key=val,... over seed, transient, timeout, ratelimit, permanent, malformed, wrong-section, burst-every, burst-len (empty = none)")
 	plRetries := sub.Int("retries", 3, "max attempts per upstream call for pipeline when -faults is set (1 = no retries)")
@@ -617,8 +617,8 @@ commands:
                   attribution (-spec file.json -model M -batch K -naive
                   runs the sequential reference instead, -probe K
                   measures hintless filter selectivity on a sample,
-                  -chunk N pins the micro-batch width, -adaptive enables
-                  the self-tuning runtime,
+                  -chunk N pins the chunk width, -adaptive re-orders
+                  filter segments mid-run,
                   -faults key=val,... injects deterministic upstream faults
                   healed by -retries N attempts, -on-record-error
                   fail|skip|quarantine picks the degraded-mode policy)

@@ -295,10 +295,6 @@ func TestAlignmentInsertOutvotesEarlyMistake(t *testing.T) {
 	if got := AlignmentInsert(4, comps); got != 3 {
 		t.Fatalf("insert = %d, want 3", got)
 	}
-	// The naive rule is derailed by the same mistake.
-	if got := FirstLessInsert(4, comps); got != 0 {
-		t.Fatalf("naive insert = %d, want 0", got)
-	}
 }
 
 func TestAlignmentInsertEdges(t *testing.T) {
@@ -374,12 +370,5 @@ func TestInsertAt(t *testing.T) {
 	}
 	if !reflect.DeepEqual(list, []string{"a", "b"}) {
 		t.Fatal("InsertAt mutated input")
-	}
-}
-
-func TestFirstLessInsertNoLess(t *testing.T) {
-	comps := []Comparison{{0, false}, {1, false}}
-	if got := FirstLessInsert(2, comps); got != 2 {
-		t.Fatalf("FirstLessInsert = %d, want listLen", got)
 	}
 }

@@ -71,21 +71,3 @@ func InsertAt(list []string, item string, p int) []string {
 	out = append(out, list[p:]...)
 	return out
 }
-
-// FirstLessInsert returns the naive insertion index: the position of the
-// first list item the oracle judged the candidate to precede, or listLen
-// if no comparison says so. This is the baseline rule the paper describes
-// as performing poorly (a single early mistake dominates); it exists for
-// the ablation benchmarks.
-func FirstLessInsert(listLen int, comparisons []Comparison) int {
-	first := listLen
-	for _, c := range comparisons {
-		if c.ListIndex < 0 || c.ListIndex >= listLen || !c.Less {
-			continue
-		}
-		if c.ListIndex < first {
-			first = c.ListIndex
-		}
-	}
-	return first
-}

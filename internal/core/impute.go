@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/embed"
@@ -221,25 +220,4 @@ func workflowMapSubset(ctx context.Context, s *session, subset []int, fn func(ct
 	return s.mapIdx(ctx, len(subset), func(ctx context.Context, k int) (string, error) {
 		return fn(ctx, subset[k])
 	})
-}
-
-// NearestTrainValues returns the k nearest training target values for a
-// query — exposed for diagnostics and the planner's feature probes.
-func NearestTrainValues(em embed.Embedder, train []dataset.Record, query dataset.Record, targetField string, k int) []string {
-	ix := embed.NewIndex(em)
-	targets := make(map[string]string, len(train))
-	items := make([]embed.Item, 0, len(train))
-	for _, r := range train {
-		v, _ := r.Get(targetField)
-		items = append(items, embed.Item{ID: r.ID, Text: r.WithoutField(targetField).String()})
-		targets[r.ID] = v
-	}
-	ix.AddAll(items)
-	nn := ix.Nearest(query.WithoutField(targetField).String(), k)
-	out := make([]string, 0, len(nn))
-	for _, nb := range nn {
-		out = append(out, targets[nb.ID])
-	}
-	sort.Strings(out)
-	return out
 }

@@ -106,7 +106,8 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 		naive bool
 		// feed runs the configuration as a standing query: the source
 		// table shrinks to static and the feed records arrive mid-run on
-		// ExecConfig.Feed (the scenario harness's workload shape). Serial
+		// ExecConfig.Feed as one wave (the scenario harness's workload
+		// shape). Serial
 		// execution (Parallelism 1, Chunk 1, no batching) keeps every
 		// counter — including the cache-hit/coalesce split — deterministic.
 		static, feed []dataset.Record
@@ -150,13 +151,9 @@ func PipelineBench(ctx context.Context, iters int, stateDir string) (*BenchRepor
 					runTables[k] = v
 				}
 				runTables["source"] = c.static
-				feed := make(chan dataset.Record)
-				go func() {
-					defer close(feed)
-					for _, r := range c.feed {
-						feed <- r
-					}
-				}()
+				feed := make(chan []dataset.Record, 1)
+				feed <- c.feed
+				close(feed)
 				runCfg.Feed = feed
 			}
 			if c.naive {

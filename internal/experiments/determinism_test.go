@@ -45,26 +45,25 @@ type batchFingerprint struct {
 }
 
 // TestBatchCompositionDeterministic pins that which unit tasks share an
-// envelope, and in which order, is a function of the input alone: a
-// batched run of barrier stages over the BENCH workload (its resolve,
-// then a per-item count with its filter's predicate), run 50 times at
-// each of GOMAXPROCS 1, 2 and 4, issues identical envelope prompts,
-// envelope and solo-retry counts, calls and tokens. A barrier stage hands
-// its operator the whole input table, so every fan-out is fixed by the
-// input. (Per-record streaming stages are not pinned: their micro-batch
-// boundaries follow how far the upstream stage has got, see pipeline's
-// nextChunk. The sequential reference is not either: it never batches.)
+// envelope, and in which order, is a function of the input alone. Three
+// batched plans over the BENCH workload — barrier stages only (its
+// resolve, then a per-item count with its filter's predicate), the full
+// streaming plan (resolve → filter → impute), and the same plan under
+// Adaptive — each run 50 times at each of GOMAXPROCS 1, 2 and 4, issue
+// identical envelope prompts, envelope and solo-retry counts, calls and
+// tokens. Every chunk that reaches a streaming stage was cut from the
+// input at the run's width, so its fan-outs are fixed by the input as
+// well. (The sequential reference is not pinned here: it never batches.)
 func TestBatchCompositionDeterministic(t *testing.T) {
 	spec, tables := benchWorkload()
 	resolve, filter := spec.Stages[0], spec.Stages[1]
-	p, err := pipeline.Compile(pipeline.Spec{Stages: []pipeline.StageSpec{resolve,
+	barrier := pipeline.Spec{Stages: []pipeline.StageSpec{resolve,
 		{Name: "n", Kind: pipeline.KindCount, Input: resolve.Name, Field: filter.Field,
-			Predicate: filter.Predicate, Strategy: "per-item"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+			Predicate: filter.Predicate, Strategy: "per-item"}}}
 	cfg := pipeline.ExecConfig{Parallelism: 16, Batch: 8}
-	run := func(cfg pipeline.ExecConfig) batchFingerprint {
+	adaptive := cfg
+	adaptive.Adaptive = true
+	run := func(p *pipeline.Pipeline, cfg pipeline.ExecConfig) batchFingerprint {
 		rec := &envelopeRecorder{inner: sim.NewNamed("sim-gpt-3.5-turbo")}
 		counting := llm.NewCounting(rec)
 		cfg.Model, cfg.Exec = counting, workflow.NewExecLayer()
@@ -79,17 +78,32 @@ func TestBatchCompositionDeterministic(t *testing.T) {
 			Hits: s.CacheHits + s.Coalesced,
 		}
 	}
-	want := run(cfg)
-	if want.Batches == 0 {
-		t.Fatal("no envelopes issued; the pin would be vacuous")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for i := 0; i < 50; i++ {
-			if got := run(cfg); !reflect.DeepEqual(got, want) {
-				t.Fatalf("GOMAXPROCS %d, run %d: batching diverged\n got %s\nwant %s",
-					procs, i, summary(got), summary(want))
+	for _, plan := range []struct {
+		name string
+		spec pipeline.Spec
+		cfg  pipeline.ExecConfig
+	}{
+		{"barrier", barrier, cfg},
+		{"streaming", spec, cfg},
+		{"adaptive", spec, adaptive},
+	} {
+		p, err := pipeline.Compile(plan.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GOMAXPROCS(2)
+		want := run(p, plan.cfg)
+		if want.Batches == 0 {
+			t.Fatalf("%s: no envelopes issued; the pin would be vacuous", plan.name)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for i := 0; i < 50; i++ {
+				if got := run(p, plan.cfg); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s plan, GOMAXPROCS %d, run %d: batching diverged\n got %s\nwant %s",
+						plan.name, procs, i, summary(got), summary(want))
+				}
 			}
 		}
 	}

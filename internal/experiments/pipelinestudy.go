@@ -75,7 +75,7 @@ type PipelineStudyRun struct {
 // PipelineStudyResult compares naive sequential operator invocation with
 // the optimized streaming pipeline — with the spec's selectivity hints,
 // with probed (measured) selectivities, and under the adaptive runtime
-// (self-tuned chunks, mid-run replanning) — on one workload, plus a
+// (mid-run filter re-ordering) — on one workload, plus a
 // latency-modelled side-input overlap scenario.
 type PipelineStudyResult struct {
 	Naive, Optimized, Streaming, Adaptive PipelineStudyRun
@@ -297,12 +297,9 @@ func PipelineStudy(ctx context.Context, cfg PipelineStudyConfig) (*PipelineStudy
 	streaming.ProbeCalls = attr.Usage(workflow.StageProbe).Calls
 
 	// Adaptive configuration: the same probed plan under the adaptive
-	// runtime — micro-batch widths self-tune, and commutable filter runs
-	// may be re-ordered mid-run. Unit tasks are identical to the streaming
-	// configuration, and the derived width floor, max(Batch, 1), equals
-	// the streaming run's fixed chunk here: widths only grow from there,
-	// so batch envelopes pack at least as well even when a loaded
-	// machine's queue waits would otherwise shrink them.
+	// runtime, which may re-order commutable filter runs at chunk
+	// boundaries. Unit tasks and chunk boundaries are identical to the
+	// streaming configuration, so it spends exactly as much.
 	adaModel, err := pipelineStudyModel(cfg.Model)
 	if err != nil {
 		return nil, err
@@ -433,8 +430,9 @@ func OverlapScenario(ctx context.Context, latency time.Duration) (*OverlapScenar
 	seqClock := time.Since(start)
 	// Two-record chunks make the slow feed hand records downstream while
 	// it works. The source reaches the side filter through the same
-	// feeder, so the feed's channel paces the side filter too; two slots
-	// let the side table land well before the feed is done.
+	// feeder, so the feed's channel, which holds one chunk, paces the side
+	// filter too; two-record chunks let the side table land well before
+	// the feed is done.
 	start = time.Now()
 	res, err := p.Run(ctx, pipeline.ExecConfig{Model: newModel(), Parallelism: 1, Chunk: 2}, tables)
 	if err != nil {

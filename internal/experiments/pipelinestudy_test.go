@@ -60,6 +60,12 @@ func TestPipelineStudyPinned(t *testing.T) {
 		t.Fatalf("streaming calls = %d (probes included), want strictly fewer than naive %d",
 			res.Streaming.UpstreamCalls, res.Naive.UpstreamCalls)
 	}
+	// Every chunk boundary is cut from the input, so the streamed rows are
+	// as exact as the naive one.
+	if res.Streaming.UpstreamCalls != 60 || res.Streaming.UpstreamTokens != 8685 {
+		t.Fatalf("streaming + probed row = %d calls / %d tokens, want 60 / 8685",
+			res.Streaming.UpstreamCalls, res.Streaming.UpstreamTokens)
+	}
 	probeRow := false
 	for _, s := range res.Streaming.Stages {
 		if s.Kind == "probe" && s.Usage.Calls == res.Streaming.ProbeCalls {
@@ -74,18 +80,16 @@ func TestPipelineStudyPinned(t *testing.T) {
 	}
 
 	// The adaptive runtime: identical temperature-0 results to the
-	// streaming+probed run, at most its upstream spend (the unit tasks
-	// are the same, and the derived width floor equals the streaming
-	// run's fixed chunk, so envelopes pack at least as well
-	// regardless of machine timing). The side-input overlap scenario must
-	// beat the sequential reference's wall clock strictly under its
-	// deterministic latency model.
+	// streaming+probed run, and the same upstream spend (the unit tasks
+	// and the chunk boundaries are the same). The side-input overlap
+	// scenario must beat the sequential reference's wall clock strictly
+	// under its deterministic latency model.
 	if !res.AdaptiveIdentical {
 		t.Fatal("adaptive runtime results differ from the streaming + probed run at temperature 0")
 	}
-	if res.Adaptive.UpstreamCalls > res.Streaming.UpstreamCalls {
-		t.Fatalf("adaptive calls = %d, want at most the streaming run's %d",
-			res.Adaptive.UpstreamCalls, res.Streaming.UpstreamCalls)
+	if res.Adaptive.UpstreamCalls != 60 || res.Adaptive.UpstreamTokens != 8685 {
+		t.Fatalf("adaptive row = %d calls / %d tokens, want 60 / 8685",
+			res.Adaptive.UpstreamCalls, res.Adaptive.UpstreamTokens)
 	}
 	if res.Adaptive.ProbeCalls == 0 {
 		t.Fatal("adaptive configuration issued no attributed probe calls on a hintless spec")

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // KendallTauB computes the tie-aware Kendall rank correlation coefficient
@@ -161,106 +160,4 @@ func Accuracy(pred, gold []string) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(gold)), nil
-}
-
-// SpearmanFootrule returns the normalised Spearman footrule distance
-// between two orderings of the same item set: the mean absolute rank
-// displacement divided by the maximum possible mean displacement. 0 means
-// identical orderings, 1 maximally displaced. Items missing from either
-// slice are ignored.
-func SpearmanFootrule(truth, pred []string) (float64, error) {
-	truthPos := make(map[string]int, len(truth))
-	for i, id := range truth {
-		truthPos[id] = i
-	}
-	var displacement, count int
-	for i, id := range pred {
-		if pos, ok := truthPos[id]; ok {
-			d := pos - i
-			if d < 0 {
-				d = -d
-			}
-			displacement += d
-			count++
-		}
-	}
-	if count < 2 {
-		return 0, fmt.Errorf("metrics: need at least 2 shared items, got %d", count)
-	}
-	// Max footrule for n items is floor(n^2/2).
-	maxD := count * count / 2
-	return float64(displacement) / float64(maxD), nil
-}
-
-// ListDiff compares a predicted list against the expected item set and
-// reports how many expected items are missing from pred and how many
-// predicted items are hallucinated (absent from expected). Duplicate
-// predictions beyond the first are counted as hallucinations too, matching
-// how the paper audits LLM sort outputs.
-type ListDiff struct {
-	Missing      int
-	Hallucinated int
-	Duplicated   int
-}
-
-// DiffLists computes a ListDiff for pred versus expected.
-func DiffLists(expected, pred []string) ListDiff {
-	want := make(map[string]bool, len(expected))
-	for _, id := range expected {
-		want[id] = true
-	}
-	seen := make(map[string]bool, len(pred))
-	var d ListDiff
-	for _, id := range pred {
-		switch {
-		case !want[id]:
-			d.Hallucinated++
-		case seen[id]:
-			d.Duplicated++
-		default:
-			seen[id] = true
-		}
-	}
-	for _, id := range expected {
-		if !seen[id] {
-			d.Missing++
-		}
-	}
-	return d
-}
-
-// MeanStd returns the mean and (population) standard deviation of vs.
-func MeanStd(vs []float64) (mean, std float64) {
-	if len(vs) == 0 {
-		return 0, 0
-	}
-	for _, v := range vs {
-		mean += v
-	}
-	mean /= float64(len(vs))
-	for _, v := range vs {
-		std += (v - mean) * (v - mean)
-	}
-	std = math.Sqrt(std / float64(len(vs)))
-	return mean, std
-}
-
-// Percentile returns the p-th percentile (0..100) of vs using nearest-rank.
-func Percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

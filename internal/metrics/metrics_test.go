@@ -194,73 +194,3 @@ func TestAccuracy(t *testing.T) {
 		t.Fatal("want empty input error")
 	}
 }
-
-func TestSpearmanFootrule(t *testing.T) {
-	truth := []string{"a", "b", "c", "d"}
-	d, err := SpearmanFootrule(truth, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(d, 0) {
-		t.Fatalf("identical orderings: d = %f, want 0", d)
-	}
-	d, err = SpearmanFootrule(truth, []string{"d", "c", "b", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(d, 1) {
-		t.Fatalf("reversed: d = %f, want 1", d)
-	}
-}
-
-func TestDiffLists(t *testing.T) {
-	expected := []string{"a", "b", "c"}
-	d := DiffLists(expected, []string{"a", "b", "c"})
-	if d.Missing != 0 || d.Hallucinated != 0 || d.Duplicated != 0 {
-		t.Fatalf("identical: %+v", d)
-	}
-	d = DiffLists(expected, []string{"a", "zzz", "a"})
-	if d.Missing != 2 { // b and c missing
-		t.Fatalf("missing = %d, want 2", d.Missing)
-	}
-	if d.Hallucinated != 1 {
-		t.Fatalf("hallucinated = %d, want 1", d.Hallucinated)
-	}
-	if d.Duplicated != 1 {
-		t.Fatalf("duplicated = %d, want 1", d.Duplicated)
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almostEq(m, 5) {
-		t.Fatalf("mean = %f", m)
-	}
-	if !almostEq(s, 2) {
-		t.Fatalf("std = %f", s)
-	}
-	m, s = MeanStd(nil)
-	if m != 0 || s != 0 {
-		t.Fatal("empty MeanStd should be 0,0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(vs, 0); got != 1 {
-		t.Fatalf("p0 = %f", got)
-	}
-	if got := Percentile(vs, 100); got != 5 {
-		t.Fatalf("p100 = %f", got)
-	}
-	if got := Percentile(vs, 50); got != 3 {
-		t.Fatalf("p50 = %f", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %f", got)
-	}
-	// Input must not be mutated.
-	if vs[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}

@@ -11,57 +11,13 @@ import (
 	"repro/internal/workflow"
 )
 
-// The adaptive runtime (ExecConfig.Adaptive) tunes a running plan from
-// live observations, in two pieces:
-//
-//   - self-tuned chunk widths: each stage's micro-batch width moves
-//     between a floor and a ceiling from the observed balance of queue
-//     wait (blocked assembling input) versus service time (processing a
-//     chunk), instead of holding the fixed default;
-//   - mid-run re-optimization: runs of adjacent commutable filter stages
-//     execute as one segment whose internal order is revised at chunk
-//     boundaries as observed keep rates refine the optimizer's probed or
-//     hinted selectivity estimates (this file).
-//
-// Both leave temperature-0 results byte-identical to the fixed plan;
-// they only change when work happens and how much of it there is.
-
-// chunkBalanceFactor is the dead band of the width controller: a chunk
-// grows only when service time dominates queue wait by this factor
-// (input is plentiful — amortize per-chunk overhead over more records),
-// and shrinks only when wait dominates service by the same factor (the
-// stage is starved — hand records downstream sooner rather than idling to
-// fill a wide chunk). In between, the width holds steady.
-const chunkBalanceFactor = 4
-
-// chunker decides one stage's micro-batch width: it doubles or halves
-// the width between floor (min) and ceiling (max) based on the
-// wait/service balance, so with min == max the width is fixed.
-// Temperature-0 results are identical for every width sequence (chunked
-// stages are per-record), so the controller is free to chase throughput
-// without a correctness cost. A chunker is owned by a single stage
-// goroutine and needs no locking.
-type chunker struct {
-	min, max, cur int
-}
-
-// size returns the width the next chunk should aim for.
-func (c *chunker) size() int { return c.cur }
-
-// observe reports one processed chunk: how long the stage was blocked
-// assembling it (wait), how long processing plus downstream emission
-// took (service), and how many records it carried.
-func (c *chunker) observe(wait, service time.Duration, records int) {
-	if records == 0 {
-		return
-	}
-	switch {
-	case wait*chunkBalanceFactor < service && c.cur < c.max:
-		c.cur = min(c.cur*2, c.max)
-	case service*chunkBalanceFactor < wait && c.cur > c.min:
-		c.cur = max(c.cur/2, c.min)
-	}
-}
+// The adaptive runtime (ExecConfig.Adaptive) re-optimizes a running
+// plan: runs of adjacent commutable filter stages execute as one segment
+// whose internal order is revised at chunk boundaries as observed keep
+// rates refine the optimizer's probed or hinted selectivity estimates.
+// The evidence is counts and the boundaries are cut from the input, so
+// every revision is a function of the input, and temperature-0 results
+// are identical to the fixed plan.
 
 // stageStats accumulates one stage's streaming timings; the stage
 // goroutine owns it and flushes the total into the run's Attribution
@@ -189,8 +145,8 @@ func sameOrder(a, b []int) bool {
 // work is never re-ordered, and the segment's final output is identical to
 // any fixed order at temperature 0. Each member's operator calls run under
 // its own stage tag, so per-stage attribution is preserved.
-func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
-	state *runState, outs map[string]*streamOut, in <-chan dataset.Record, tables map[string][]dataset.Record,
+func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, rt *execRuntime,
+	state *runState, outs map[string]*streamOut, in <-chan []dataset.Record, tables map[string][]dataset.Record,
 	idxs []int) {
 	members := make([]*segMember, len(idxs))
 	for i, j := range idxs {
@@ -205,10 +161,9 @@ func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, cf
 		}
 	}()
 	up := outs[members[0].spec.Input]
-	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables,
-		chunk: cfg.widths(), run: state}
+	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables, run: state}
 	// One timing ledger per member: each filter's service time and record
-	// flow land under its own stage name, chunk-assembly wait under
+	// flow land under its own stage name, the wait for each chunk under
 	// whichever member ran first (it is the one actually blocked on
 	// upstream), and emission backpressure under the tail.
 	stats := make([]*stageStats, len(members))
@@ -225,62 +180,56 @@ func (p *Pipeline) runSegment(ctx context.Context, cancel context.CancelFunc, cf
 	consumed, reorders := 0, 0
 	for {
 		start := time.Now()
-		chunk, more, err := nextChunk(ctx, in, env.chunk.size())
+		chunk, ok, err := recvChunk(ctx, in)
 		wait := time.Since(start)
 		if err != nil {
 			members[0].out.err = err
 			return
 		}
-		consumed += len(chunk)
-		if len(chunk) > 0 {
-			work := time.Now()
-			recs := chunk
-			for pos, mi := range order {
-				m := members[mi]
-				if len(recs) == 0 {
-					break
-				}
-				eval := time.Now()
-				kept, asks, err := m.st.filter(workflow.TagStage(ctx, m.spec.Name), env, recs)
-				if err != nil {
-					m.out.err = fmt.Errorf("stage %q: %w", m.spec.Name, err)
-					cancel()
-					return
-				}
-				memberWait := time.Duration(0)
-				if pos == 0 {
-					memberWait = wait
-				}
-				stats[mi].observe(memberWait, time.Since(eval), len(recs))
-				m.seen += len(recs)
-				m.kept += len(kept)
-				m.asks += asks
-				m.out.consumed += len(recs)
-				if m != tail {
-					m.out.table = append(m.out.table, kept...)
-				}
-				recs = kept
-			}
-			emitStart := time.Now()
-			for _, r := range recs {
-				tail.out.table = append(tail.out.table, r)
-				if !tail.out.send(ctx, r) {
-					members[0].out.err = ctx.Err()
-					return
-				}
-			}
-			stats[len(members)-1].addService(time.Since(emitStart))
-			env.chunk.observe(wait, time.Since(work), len(chunk))
-			// Chunk boundary: revise the order for not-yet-started chunks
-			// from the refined estimates. The chunk just finished ran whole
-			// under the old order — in-flight work is never re-ordered.
-			if next := segmentOrder(members); !sameOrder(next, order) {
-				order = next
-				reorders++
-			}
-		}
-		if !more {
+		if !ok {
 			break
+		}
+		consumed += len(chunk)
+		recs := chunk
+		for pos, mi := range order {
+			m := members[mi]
+			if len(recs) == 0 {
+				break
+			}
+			eval := time.Now()
+			kept, asks, err := m.st.filter(workflow.TagStage(ctx, m.spec.Name), env, recs)
+			if err != nil {
+				m.out.err = fmt.Errorf("stage %q: %w", m.spec.Name, err)
+				cancel()
+				return
+			}
+			memberWait := time.Duration(0)
+			if pos == 0 {
+				memberWait = wait
+			}
+			stats[mi].observe(memberWait, time.Since(eval), len(recs))
+			m.seen += len(recs)
+			m.kept += len(kept)
+			m.asks += asks
+			m.out.consumed += len(recs)
+			if m != tail {
+				m.out.table = append(m.out.table, kept...)
+			}
+			recs = kept
+		}
+		emitStart := time.Now()
+		tail.out.table = append(tail.out.table, recs...)
+		if !tail.out.send(ctx, recs) {
+			members[0].out.err = ctx.Err()
+			return
+		}
+		stats[len(members)-1].addService(time.Since(emitStart))
+		// Chunk boundary: revise the order for not-yet-started chunks
+		// from the refined estimates. The chunk just finished ran whole
+		// under the old order — in-flight work is never re-ordered.
+		if next := segmentOrder(members); !sameOrder(next, order) {
+			order = next
+			reorders++
 		}
 	}
 	<-up.done

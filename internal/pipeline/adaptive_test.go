@@ -54,75 +54,30 @@ func TestRecordSpoolSpill(t *testing.T) {
 	}
 }
 
-// TestAdaptiveChunkerTunes pins the width controller: service-dominated
-// chunks grow toward the ceiling, wait-dominated chunks shrink toward
-// the floor, and a balanced load holds steady.
-func TestAdaptiveChunkerTunes(t *testing.T) {
-	c := &chunker{min: 2, max: 32, cur: 8}
-	for i := 0; i < 10; i++ {
-		c.observe(time.Millisecond, 100*time.Millisecond, c.size())
-	}
-	if c.size() != 32 {
-		t.Fatalf("service-dominated chunker at %d, want ceiling 32", c.size())
-	}
-	for i := 0; i < 10; i++ {
-		c.observe(100*time.Millisecond, time.Millisecond, c.size())
-	}
-	if c.size() != 2 {
-		t.Fatalf("wait-dominated chunker at %d, want floor 2", c.size())
-	}
-	before := c.size()
-	c.observe(10*time.Millisecond, 10*time.Millisecond, before)
-	if c.size() != before {
-		t.Fatalf("balanced chunk moved the width %d -> %d", before, c.size())
-	}
-	c.observe(0, 0, 0) // empty chunk: no evidence, no move
-	if c.size() != before {
-		t.Fatal("empty chunk moved the width")
-	}
-}
-
-// TestWidthResolution pins the derived width policy: the fixed default
-// is Parallelism × max(Batch, 1), what one round trip carries, with
-// floor == ceiling (and the ceiling sizes the inter-stage channels, so
-// the unbatched default capacity stays 8); a positive Chunk
-// pins the width even under Adaptive; and the adaptive floor is
-// max(Batch, 1) — starved observations never push the target width
-// below one envelope's worth of records.
+// TestWidthResolution pins the derived width: Parallelism ×
+// max(Batch, 1), what one round trip carries (8 unbatched at the default
+// parallelism), and a positive Chunk pins it. Adaptive changes nothing:
+// one width per config, on every edge of the run.
 func TestWidthResolution(t *testing.T) {
 	for _, tc := range []struct {
-		cfg                ExecConfig
-		floor, start, ceil int
+		cfg   ExecConfig
+		width int
 	}{
-		{ExecConfig{}, 8, 8, 8},
-		{ExecConfig{Batch: 1}, 8, 8, 8},
-		{ExecConfig{Parallelism: 2}, 2, 2, 2},
-		{ExecConfig{Batch: 8}, 64, 64, 64},
-		{ExecConfig{Batch: 16}, 128, 128, 128},
-		{ExecConfig{Batch: 4, Parallelism: 2}, 8, 8, 8},
-		{ExecConfig{Batch: 8, Parallelism: 16}, 128, 128, 128},
-		{ExecConfig{Chunk: 3, Batch: 8, Adaptive: true}, 3, 3, 3},
-		{ExecConfig{Batch: 8, Adaptive: true}, 8, 64, 64},
-		{ExecConfig{Adaptive: true}, 1, 8, 64},
-		{ExecConfig{Batch: 4, Parallelism: 1, Adaptive: true}, 4, 4, 64},
-		{ExecConfig{Batch: 100, Adaptive: true}, 100, 800, 800},
+		{ExecConfig{}, 8},
+		{ExecConfig{Batch: 1}, 8},
+		{ExecConfig{Parallelism: 2}, 2},
+		{ExecConfig{Batch: 8}, 64},
+		{ExecConfig{Batch: 16}, 128},
+		{ExecConfig{Batch: 4, Parallelism: 2}, 8},
+		{ExecConfig{Batch: 8, Parallelism: 16}, 128},
+		{ExecConfig{Chunk: 3, Batch: 8, Adaptive: true}, 3},
+		{ExecConfig{Batch: 8, Adaptive: true}, 64},
+		{ExecConfig{Adaptive: true}, 8},
+		{ExecConfig{Batch: 4, Parallelism: 1, Adaptive: true}, 4},
+		{ExecConfig{Batch: 100, Adaptive: true}, 800},
 	} {
-		c := tc.cfg.widths()
-		if c.min != tc.floor || c.size() != tc.start || c.max != tc.ceil {
-			t.Errorf("%+v: widths = floor %d start %d ceiling %d, want %d %d %d",
-				tc.cfg, c.min, c.size(), c.max, tc.floor, tc.start, tc.ceil)
-		}
-	}
-	for _, tc := range []struct{ batch, floor int }{{8, 8}, {0, 1}} {
-		c := ExecConfig{Batch: tc.batch, Adaptive: true}.widths()
-		for i := 0; i < 10; i++ {
-			c.observe(100*time.Millisecond, time.Millisecond, c.size())
-			if c.size() < tc.floor {
-				t.Fatalf("Batch %d: starved width fell to %d, below the floor %d", tc.batch, c.size(), tc.floor)
-			}
-		}
-		if c.size() != tc.floor {
-			t.Fatalf("Batch %d: starved width settled at %d, want the floor %d", tc.batch, c.size(), tc.floor)
+		if got := tc.cfg.width(); got != tc.width {
+			t.Errorf("%+v: width = %d, want %d", tc.cfg, got, tc.width)
 		}
 	}
 }
@@ -168,10 +123,10 @@ func TestAdaptiveSegments(t *testing.T) {
 }
 
 // TestAdaptiveMatchesMaterialized is the tentpole property test: on the
-// sim model, an adaptive run — self-tuned chunks, segment replanning —
-// produces byte-identical final tables and scalars to the materialized
-// sequential reference (RunSequential) and to fixed-chunk streaming runs
-// at widths 1, 3, and 16, across the width ranges Batch derives.
+// sim model, an adaptive run (segment replanning) produces byte-identical
+// final tables and scalars to the materialized sequential reference
+// (RunSequential) and to fixed-chunk streaming runs at widths 1, 3, and
+// 16, across the widths Batch derives.
 func TestAdaptiveMatchesMaterialized(t *testing.T) {
 	tables, _ := SourceSpec{Dataset: "restaurants", Records: 14, Train: 30, Seed: 9}.Tables()
 	for i, r := range tables["source"] {
@@ -179,7 +134,7 @@ func TestAdaptiveMatchesMaterialized(t *testing.T) {
 	}
 	// Two adjacent hintless filters form a replannable segment; the
 	// surrounding stages exercise barrier (resolve, count) and streaming
-	// (impute) paths under adaptive chunking.
+	// (impute) paths.
 	spec := Spec{Stages: []StageSpec{
 		{Name: "entities", Kind: KindResolve, Strategy: "pairwise", InvariantFields: []string{"type"}},
 		{Name: "served", Kind: KindFilter, Field: "type", Predicate: "the restaurant serves food"},
@@ -210,8 +165,8 @@ func TestAdaptiveMatchesMaterialized(t *testing.T) {
 			t.Fatalf("fixed chunk %d differs from the sequential reference", chunk)
 		}
 	}
-	// Batch 0 tunes widths over [1, 64], Batch 2 over [2, 64], Batch 16
-	// over [16, 64]; Chunk 16 pins the width under Adaptive.
+	// Batch 0 runs at width 8, Batch 2 at 16, Batch 16 at 128; Chunk 16
+	// pins the width under Adaptive.
 	for _, cfg := range []ExecConfig{
 		{Adaptive: true}, {Adaptive: true, Batch: 2}, {Adaptive: true, Batch: 16}, {Adaptive: true, Chunk: 16},
 	} {
@@ -498,14 +453,14 @@ func stageByName(t *testing.T, res *Result, name string) StageReport {
 	return StageReport{}
 }
 
-// TestNextChunkCancellation is the satellite regression pin: a cancelled
-// context must win the next chunk boundary promptly whether the upstream
-// is idle (nothing buffered, the stage is blocked on its first record) or
-// flooding (records always ready, so the select could keep choosing the
-// receive case forever without the explicit entry poll).
+// TestNextChunkCancellation pins recvChunk, the receive of the next
+// chunk: a cancelled context must win the next chunk boundary promptly
+// whether the upstream is idle (nothing buffered, the stage is blocked on
+// its next chunk) or flooding (chunks always ready, so the select could
+// keep choosing the receive case forever without the explicit entry poll).
 func TestNextChunkCancellation(t *testing.T) {
 	// Idle upstream: block on an open, empty channel; cancel mid-wait.
-	idle := make(chan dataset.Record)
+	idle := make(chan []dataset.Record)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -513,41 +468,43 @@ func TestNextChunkCancellation(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := nextChunk(ctx, idle, 8)
+		_, _, err := recvChunk(ctx, idle)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("nextChunk returned nil on a cancelled idle upstream")
+			t.Fatal("recvChunk returned nil on a cancelled idle upstream")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("nextChunk did not return promptly after cancellation during an idle upstream")
+		t.Fatal("recvChunk did not return promptly after cancellation during an idle upstream")
 	}
 
-	// Busy upstream: the channel always has a record ready, and the
-	// context is already cancelled — the entry poll must still surface the
-	// cancellation instead of assembling another chunk.
-	busy := make(chan dataset.Record, 4)
+	// Busy upstream: the channel always has a chunk ready, and the context
+	// is already cancelled — the entry poll must still surface the
+	// cancellation instead of receiving another chunk.
+	busy := make(chan []dataset.Record, 4)
 	for i := 0; i < 4; i++ {
-		busy <- dataset.Record{ID: fmt.Sprintf("r%d", i)}
+		busy <- []dataset.Record{{ID: fmt.Sprintf("r%d", i)}}
 	}
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if chunk, _, err := nextChunk(cctx, busy, 2); err == nil {
-		t.Fatalf("nextChunk assembled %d records under a cancelled context", len(chunk))
+	for i := 0; i < 4; i++ {
+		if chunk, _, err := recvChunk(cctx, busy); err == nil {
+			t.Fatalf("recvChunk received %d records under a cancelled context", len(chunk))
+		}
 	}
 }
 
 // TestAdaptiveIdleUpstreamCancellation is the end-to-end version: cancel
-// the caller's context while a downstream stage idles in nextChunk
+// the caller's context while a downstream stage idles in recvChunk
 // waiting for a slow producer, and the whole run must return promptly.
 func TestAdaptiveIdleUpstreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	model := llm.Func{ModelName: "slow", Fn: func(mctx context.Context, req llm.Request) (llm.Response, error) {
 		// The filter never answers: downstream categorize idles in
-		// nextChunk the whole run.
+		// recvChunk the whole run.
 		select {
 		case <-mctx.Done():
 			return llm.Response{}, mctx.Err()

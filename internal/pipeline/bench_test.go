@@ -76,9 +76,9 @@ func BenchmarkPipelineOptimized(b *testing.B) {
 }
 
 // BenchmarkPipelineAdaptive runs the optimized plan under the adaptive
-// runtime: self-tuned chunk widths and mid-run filter re-ordering. The
-// delta against BenchmarkPipelineOptimized is the adaptive machinery's
-// overhead (or win) when the static plan was already good.
+// runtime, which may re-order filter segments mid-run. The delta against
+// BenchmarkPipelineOptimized is the adaptive machinery's overhead (or
+// win) when the static plan was already good.
 func BenchmarkPipelineAdaptive(b *testing.B) {
 	spec, _, err := Optimize(benchSpec())
 	if err != nil {

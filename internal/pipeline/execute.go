@@ -52,18 +52,22 @@ type ExecConfig struct {
 	// Registry is the shared embedding-index registry. Nil builds a fresh
 	// one for the run, which already spans every stage.
 	Registry *embed.Registry
-	// Feed turns the run into a standing query: records received on the
-	// channel join the stream behind the static "source" table, in arrival
-	// order, while the pipeline is already executing — per-record stages
-	// re-evaluate incrementally chunk by chunk (reusing the width policy
-	// and, on the side-input overlap path, the spillable spool), and
-	// barrier stages simply see the longer stream. Run returns only
-	// after Feed is closed and fully drained, so the caller must feed and
-	// close the channel from another goroutine. Temperature-0 results
-	// after full ingestion are byte-identical to a batch run whose source
-	// table already contained the fed records (pinned by
-	// TestStandingQueryMatchesBatch). Nil runs the static table alone.
-	Feed <-chan dataset.Record
+	// Feed turns the run into a standing query: each slice received on
+	// the channel is one wave of records that joins the stream behind the
+	// static "source" table, in arrival order, while the pipeline is
+	// already executing — per-record stages re-evaluate incrementally chunk
+	// by chunk, and barrier stages simply see the longer stream. Each wave
+	// is cut into chunks at the run's width, exactly like the static
+	// source, so chunk boundaries depend only on the source and the wave
+	// sequence. The run reads a wave after receiving it, so the caller
+	// must not modify a sent wave. Run returns only after Feed is closed
+	// and fully drained, so the caller must feed and close the channel
+	// from another goroutine.
+	// Temperature-0 results after full ingestion are byte-identical to a
+	// batch run whose source table already contained the fed records
+	// (pinned by TestStandingQueryMatchesBatch). Nil runs the static table
+	// alone.
+	Feed <-chan []dataset.Record
 	// Attribution is the per-stage ledger the run records into; nil builds
 	// a fresh one. Pass the same ledger (and Exec) to OptimizeProbed and
 	// Run so probe spend appears in the run's report under
@@ -82,20 +86,18 @@ type ExecConfig struct {
 	// in flight (default core.DefaultParallelism, 8). A batched fan-out
 	// counts envelopes, so it admits Parallelism × Batch unit tasks.
 	Parallelism int
-	// Chunk pins the records per streaming micro-batch, even under
-	// Adaptive. Larger chunks amortize per-invocation overhead; smaller
+	// Chunk is the records per chunk, the unit that flows between stages
+	// (see width). Larger chunks amortize per-invocation overhead; smaller
 	// ones hand records downstream sooner. 0 takes the default width,
 	// Parallelism × max(Batch, 1) — what one round trip of the fan-out
-	// carries — which Adaptive may tune.
+	// carries.
 	Chunk int
-	// Adaptive lets the running plan tune itself from live observations:
-	// with Chunk unset, each stage's micro-batch width self-tunes from
-	// observed service time versus queue wait between a floor of
-	// max(Batch, 1) — no narrower chunk can pack envelopes better — and a
-	// ceiling of max(64, default width); and runs of adjacent commutable
-	// filter stages may be re-ordered at chunk boundaries as observed
-	// selectivities refine the optimizer's estimates. Temperature-0
-	// results are identical either way.
+	// Adaptive runs each run of adjacent commutable filter stages as one
+	// segment whose internal order is revised at chunk boundaries, most
+	// selective first, as the observed keep rates refine the optimizer's
+	// estimates. The revisions are driven by counts and the boundaries by
+	// the input, so an adaptive run is as deterministic as a fixed one, and
+	// its temperature-0 results are identical.
 	Adaptive bool
 	// Resilience, when non-nil, wraps the model with a retry / backoff /
 	// hedging / circuit-breaker policy for the run. The wrapper sits below
@@ -116,26 +118,20 @@ type ExecConfig struct {
 	OnRecordError string
 }
 
-// widths resolves one stage's micro-batch width policy. The default
-// width is what one round trip carries, Parallelism × max(Batch, 1) (8
-// unbatched at the default parallelism, 64 at Batch 8), and a positive
-// Chunk pins it; only Adaptive with Chunk unset opens a tuning range,
-// from max(Batch, 1) up to max(64, default). A fixed width is just floor
-// == ceiling. The ceiling also sizes every inter-stage channel, so a
-// grown chunk can actually fill from the buffer.
-func (cfg ExecConfig) widths() chunker {
-	width := cfg.Chunk
-	if width <= 0 {
-		par := cfg.Parallelism
-		if par <= 0 {
-			par = core.DefaultParallelism
-		}
-		width = par * max(cfg.Batch, 1)
+// width is the run's chunk width: a positive Chunk, or else what one
+// round trip carries, Parallelism × max(Batch, 1) (8 unbatched at the
+// default parallelism, 64 at Batch 8). Every edge of the run cuts its
+// chunks at this one width, so no consumer ever re-cuts, and every
+// inter-stage channel holds one chunk.
+func (cfg ExecConfig) width() int {
+	if cfg.Chunk > 0 {
+		return cfg.Chunk
 	}
-	if !cfg.Adaptive || cfg.Chunk > 0 {
-		return chunker{min: width, max: width, cur: width}
+	par := cfg.Parallelism
+	if par <= 0 {
+		par = core.DefaultParallelism
 	}
-	return chunker{min: max(cfg.Batch, 1), max: max(64, width), cur: width}
+	return par * max(cfg.Batch, 1)
 }
 
 // execRuntime binds one run's shared machinery: the budget, the
@@ -228,7 +224,6 @@ type Env struct {
 	// materialized from an earlier stage's stream.
 	Tables map[string][]dataset.Record
 
-	chunk chunker
 	stats *stageStats
 	run   *runState
 	onErr string // resolved OnRecordError mode
@@ -321,8 +316,8 @@ type StageReport struct {
 	// Cost prices Usage at the model's rate.
 	Cost float64
 	// Timing is the stage's observed streaming behaviour: service time
-	// versus queue wait, chunks, and records — the signals the adaptive
-	// chunker tunes against, surfaced for inspection and benchmarks.
+	// versus queue wait, chunks, and records, surfaced for inspection and
+	// benchmarks.
 	Timing workflow.StageTiming
 	// Detail is the stage's operator-specific summary.
 	Detail string
@@ -336,13 +331,11 @@ type StageReport struct {
 
 // Result is the outcome of one pipeline run.
 type Result struct {
-	// Tables holds every stage's output table by stage name. One caveat
-	// under ExecConfig.Adaptive: inside a re-orderable filter segment,
-	// a non-tail filter's table (and its In/Out counts) reflects the
-	// records it actually evaluated under the orders used, which can
-	// vary with chunk-boundary timing; the segment's tail table — what
-	// every downstream consumer sees — and all non-segment tables are
-	// byte-identical to a non-adaptive run at temperature 0.
+	// Tables holds every stage's output table by stage name. Under
+	// ExecConfig.Adaptive, a non-tail filter of a re-orderable segment
+	// holds the records it evaluated under the orders used; the segment's
+	// tail table, what every downstream consumer sees, is identical to a
+	// non-adaptive run at temperature 0.
 	Tables map[string][]dataset.Record
 	// Scalars holds the scalar outputs of count/max stages by stage name.
 	Scalars map[string]string
@@ -365,7 +358,7 @@ type Result struct {
 }
 
 // streamOut is one stage's output viewed both as a stream and as a
-// table: the owning goroutine sends each record to every subscribed
+// table: the owning goroutine sends each chunk to every subscribed
 // consumer channel while collecting the full table for the Result (and
 // for dynamic side-table consumers, who need it whole). done closes when
 // the stage finishes; err is set before done closes on failure.
@@ -373,19 +366,26 @@ type streamOut struct {
 	table    []dataset.Record
 	err      error
 	consumed int
+	width    int
 	done     chan struct{}
-	subs     []chan dataset.Record
+	subs     []chan []dataset.Record
 }
 
-// send delivers one record to every subscriber, honouring backpressure;
-// it reports false when the run's context is cancelled.
-func (o *streamOut) send(ctx context.Context, r dataset.Record) bool {
-	for _, ch := range o.subs {
-		select {
-		case ch <- r:
-		case <-ctx.Done():
-			return false
+// send delivers recs to every subscriber as chunks of at most the run's
+// width, honouring backpressure; it sends nothing for no records and
+// reports false when the run's context is cancelled. Subscribers share
+// each chunk and must not modify it.
+func (o *streamOut) send(ctx context.Context, recs []dataset.Record) bool {
+	for len(recs) > 0 {
+		n := min(len(recs), o.width)
+		for _, ch := range o.subs {
+			select {
+			case ch <- recs[:n:n]:
+			case <-ctx.Done():
+				return false
+			}
 		}
+		recs = recs[n:]
 	}
 	return true
 }
@@ -399,73 +399,51 @@ func (o *streamOut) closeSubs() {
 // drain collects the whole input stream — the barrier path — and then
 // surfaces the upstream error if the stream ended because its producer
 // failed.
-func drain(ctx context.Context, in <-chan dataset.Record, up *streamOut) ([]dataset.Record, error) {
+func drain(ctx context.Context, in <-chan []dataset.Record, up *streamOut) ([]dataset.Record, error) {
 	var recs []dataset.Record
 	for {
-		select {
-		case r, ok := <-in:
-			if !ok {
-				<-up.done
-				if up.err != nil {
-					return nil, up.err
-				}
-				return recs, nil
-			}
-			recs = append(recs, r)
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		chunk, ok, err := recvChunk(ctx, in)
+		if err != nil {
+			return nil, err
 		}
+		if !ok {
+			<-up.done
+			if up.err != nil {
+				return nil, up.err
+			}
+			return recs, nil
+		}
+		recs = append(recs, chunk...)
 	}
 }
 
-// nextChunk assembles one streaming micro-batch: it blocks for the first
-// record, then greedily tops up with whatever the producer has already
-// buffered (up to n), so a fast upstream fills chunks and a slow one
-// doesn't stall the stage. Returns more=false once the stream is
-// exhausted; the final chunk may still carry records.
+// recvChunk receives the next chunk; ok is false once the stream is
+// exhausted. Every chunk boundary was cut by the producer, so a chunk is
+// a function of the input, never of how far the producer has got.
 //
-// Cancellation is checked eagerly, not just inside the selects: the
-// blocking first-record receive races a ready channel against ctx.Done,
-// and Go's select picks ready cases at random — a busy upstream could
-// otherwise keep a cancelled stage assembling chunks indefinitely. The
-// explicit polls make cancellation win the next boundary deterministically
-// whether the upstream is idle (the select's Done case fires) or flooding
-// (the entry poll fires).
-func nextChunk(ctx context.Context, in <-chan dataset.Record, n int) (chunk []dataset.Record, more bool, err error) {
+// Cancellation is checked eagerly, not just inside the select: Go's select
+// picks ready cases at random, so a flooding upstream could otherwise keep
+// a cancelled stage receiving chunks. The entry poll makes cancellation win
+// the next boundary whether the upstream is idle (the select's Done case
+// fires) or flooding (the poll fires).
+func recvChunk(ctx context.Context, in <-chan []dataset.Record) (chunk []dataset.Record, ok bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
 	select {
-	case r, ok := <-in:
-		if !ok {
-			return nil, false, nil
-		}
-		chunk = append(chunk, r)
+	case chunk, ok = <-in:
+		return chunk, ok, nil
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
-	for len(chunk) < n {
-		if err := ctx.Err(); err != nil {
-			return chunk, false, err
-		}
-		select {
-		case r, ok := <-in:
-			if !ok {
-				return chunk, false, nil
-			}
-			chunk = append(chunk, r)
-		default:
-			return chunk, true, nil
-		}
-	}
-	return chunk, true, nil
 }
 
 // Run executes the pipeline over the given tables (which must include
 // "source") as a streaming dataflow: every stage runs in its own
-// goroutine, records flow between stages over bounded channels, and a
+// goroutine, chunks of records cut from the input at cfg.width() flow
+// between stages over channels that hold one chunk each, and a
 // per-record stage (filter, direct categorize, fixed-strategy impute,
-// nested-loop join) processes micro-batches while its upstream is still
+// nested-loop join) processes each chunk while its upstream is still
 // emitting — if its side table is an earlier stage's output, it buffers
 // its main input in a spillable spool until that table lands. Barrier
 // stages — sort, max, count, resolve, planner-driven impute — drain their
@@ -474,7 +452,7 @@ func nextChunk(ctx context.Context, in <-chan dataset.Record, n int) (chunk []da
 // Each stage's context is tagged with its name, so the returned report
 // attributes the shared budget's spend stage by stage. At temperature 0
 // the result is byte-identical to RunSequential's. With cfg.Feed set,
-// the run is a standing query: records arriving on the channel extend
+// the run is a standing query: waves arriving on the channel extend
 // the source stream mid-run, and Run returns after the feed closes and
 // drains.
 func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]dataset.Record) (*Result, error) {
@@ -490,12 +468,13 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	rt := cfg.runtime()
 	state := newRunState()
 
+	width := cfg.width()
 	outs := make(map[string]*streamOut, len(p.stages)+1)
-	root := &streamOut{table: source, done: make(chan struct{})}
+	root := &streamOut{table: source, width: width, done: make(chan struct{})}
 	close(root.done)
 	outs["source"] = root
 	for _, st := range p.stages {
-		outs[st.Name()] = &streamOut{done: make(chan struct{})}
+		outs[st.Name()] = &streamOut{width: width, done: make(chan struct{})}
 	}
 
 	// Adaptive runs collapse runs of adjacent commutable filters into
@@ -512,20 +491,20 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		}
 	}
 
-	// Wire one bounded channel per main-input edge. Dynamic side-table
-	// consumers are not subscribers: they read the producer's collected
-	// table after its done closes. Stages inside a segment take no edge
-	// of their own — the segment consumes the head's input and emits on
-	// the tail's output, whose downstream subscriptions wire as usual.
-	capacity := cfg.widths().max
-	inputs := make(map[string]chan dataset.Record, len(p.stages))
+	// Wire one channel per main-input edge, holding one chunk. Dynamic
+	// side-table consumers are not subscribers: they read the producer's
+	// collected table after its done closes. Stages inside a segment take
+	// no edge of their own — the segment consumes the head's input and
+	// emits on the tail's output, whose downstream subscriptions wire as
+	// usual.
+	inputs := make(map[string]chan []dataset.Record, len(p.stages))
 	for i, st := range p.stages {
 		if segID[i] > 0 {
 			if j := indexOf(p.specs, p.specs[i].Input); j >= 0 && segID[j] == segID[i] {
 				continue // intra-segment edge: records flow inside the goroutine
 			}
 		}
-		ch := make(chan dataset.Record, capacity)
+		ch := make(chan []dataset.Record, 1)
 		inputs[st.Name()] = ch
 		up := outs[st.Input()]
 		up.subs = append(up.subs, ch)
@@ -535,40 +514,32 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 	defer cancel()
 	var wg sync.WaitGroup
 
-	// Pre-buffer the head of the static source before any stage starts:
-	// the channels are empty and hold capacity records, so this cannot
-	// block, and a source that fits in one channel reaches each consumer
-	// as one first chunk by construction rather than by scheduling.
-	pre := min(len(root.table), capacity)
-	for _, ch := range root.subs {
-		for _, r := range root.table[:pre] {
-			ch <- r
+	// Pre-buffer the first chunk of the static source before any stage
+	// starts: the channels are empty and hold one chunk, so this cannot
+	// block.
+	pre := min(len(root.table), width)
+	if pre > 0 {
+		for _, ch := range root.subs {
+			ch <- root.table[:pre:pre]
 		}
 	}
 
 	// Feed the rest of the static source to its subscribers, then — for a
-	// standing query — the ingest channel until it closes. Fed records are
-	// not appended to root.table: the slice aliases the caller's "source"
-	// table, and consumers see every record through the stream either way.
+	// standing query — each ingested wave until the feed closes. Fed
+	// records are not appended to root.table: the slice aliases the
+	// caller's "source" table, and consumers see every record through the
+	// stream either way.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer root.closeSubs()
-		for _, r := range root.table[pre:] {
-			if !root.send(ctx, r) {
-				return
-			}
-		}
-		if cfg.Feed == nil {
+		if !root.send(ctx, root.table[pre:]) || cfg.Feed == nil {
 			return
 		}
 		for {
 			select {
-			case r, ok := <-cfg.Feed:
-				if !ok {
-					return
-				}
-				if !root.send(ctx, r) {
+			case wave, ok := <-cfg.Feed:
+				if !ok || !root.send(ctx, wave) {
 					return
 				}
 			case <-ctx.Done():
@@ -581,7 +552,7 @@ func (p *Pipeline) Run(ctx context.Context, cfg ExecConfig, tables map[string][]
 		wg.Add(1)
 		go func(seg []int) {
 			defer wg.Done()
-			p.runSegment(ctx, cancel, cfg, rt, state, outs, inputs[p.specs[seg[0]].Name], tables, seg)
+			p.runSegment(ctx, cancel, rt, state, outs, inputs[p.specs[seg[0]].Name], tables, seg)
 		}(seg)
 	}
 	for i, st := range p.stages {
@@ -674,7 +645,7 @@ func (p *Pipeline) report(attr *workflow.Attribution, state *runState, outs map[
 // runStage drives one stage goroutine: resolve the side table, consume
 // the input (streamed or drained), run the operator, and emit outputs.
 func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg ExecConfig, rt *execRuntime,
-	state *runState, outs map[string]*streamOut, in <-chan dataset.Record, tables map[string][]dataset.Record,
+	state *runState, outs map[string]*streamOut, in <-chan []dataset.Record, tables map[string][]dataset.Record,
 	st Stage, spec StageSpec) {
 	out := outs[st.Name()]
 	defer close(out.done)
@@ -690,8 +661,7 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	}
 
 	env := &Env{Engine: rt.engine, Budget: rt.budget, Tables: tables,
-		chunk: cfg.widths(), stats: &stageStats{stage: st.Name()}, run: state,
-		onErr: cfg.OnRecordError}
+		stats: &stageStats{stage: st.Name()}, run: state, onErr: cfg.OnRecordError}
 	defer env.stats.flush(rt.attr)
 
 	// A dynamic side input (Side naming an earlier stage) needs the side
@@ -704,9 +674,9 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 	dynamicSide := sideStage(p.specs, spec) >= 0
 
 	if streamer, ok := st.(Streamer); ok && streamer.CanStream() {
-		emit := func(r dataset.Record) error {
-			out.table = append(out.table, r)
-			if !out.send(ctx, r) {
+		emit := func(chunk []dataset.Record) error {
+			out.table = append(out.table, chunk...)
+			if !out.send(ctx, chunk) {
 				return ctx.Err()
 			}
 			return nil
@@ -773,10 +743,8 @@ func (p *Pipeline) runStage(ctx context.Context, cancel context.CancelFunc, cfg 
 		return
 	}
 	out.table = table
-	for _, r := range table {
-		if !out.send(ctx, r) {
-			return
-		}
+	if !out.send(ctx, table) {
+		return
 	}
 	env.stats.observe(wait, time.Since(work), len(recs))
 }
@@ -826,10 +794,11 @@ var sideSpoolMem = 0
 // prefix followed by the live channel through the stage. The spool keeps
 // the main path consuming (no backpressure deadlock through a shared
 // ancestor) without the full drain the barrier path pays, so downstream
-// receives records as soon as the side table is ready.
+// receives records as soon as the side table is ready. The spool keeps
+// each chunk's boundary, so where the spool/live split falls moves none.
 func (p *Pipeline) runStreamWithSide(ctx context.Context, env *Env, outs map[string]*streamOut,
-	in <-chan dataset.Record, tables map[string][]dataset.Record, streamer Streamer, st Stage, spec StageSpec,
-	emit func(dataset.Record) error) (int, error) {
+	in <-chan []dataset.Record, tables map[string][]dataset.Record, streamer Streamer, st Stage, spec StageSpec,
+	emit func([]dataset.Record) error) (int, error) {
 	side := outs[spec.Side]
 	spool := newRecordSpool(sideSpoolMem)
 	defer spool.Close()
@@ -839,12 +808,12 @@ func (p *Pipeline) runStreamWithSide(ctx context.Context, env *Env, outs map[str
 buffering:
 	for {
 		select {
-		case r, ok := <-in:
+		case chunk, ok := <-in:
 			if !ok {
 				inOpen = false
 				break buffering
 			}
-			if err := spool.Append(r); err != nil {
+			if err := spool.AppendChunk(chunk); err != nil {
 				return spool.Len(), err
 			}
 		case <-side.done:
@@ -869,12 +838,13 @@ buffering:
 	env.stats.addWait(time.Since(start))
 
 	// Replay the spool, then pipe the live channel, on one merged stream
-	// the stage consumes in chunks. The feeder owns its reads of the spool,
-	// so this function must not return — and the deferred spool.Close must
-	// not run — until the feeder has exited: fcancel unblocks it even when
-	// the run's context is still live (e.g. RunStream failed mid-replay),
-	// and the second defer waits for it. No goroutine can leak.
-	merged := make(chan dataset.Record, env.chunk.max)
+	// the stage consumes chunk by chunk. The feeder owns its reads of the
+	// spool, so this function must not return — and the deferred
+	// spool.Close must not run — until the feeder has exited: fcancel
+	// unblocks it even when the run's context is still live (e.g.
+	// RunStream failed mid-replay), and the second defer waits for it. No
+	// goroutine can leak.
+	merged := make(chan []dataset.Record, 1)
 	feedErr := make(chan error, 1)
 	feedDone := make(chan struct{})
 	fctx, fcancel := context.WithCancel(ctx)
@@ -885,8 +855,16 @@ buffering:
 	go func() {
 		defer close(feedDone)
 		defer close(merged)
+		forward := func(chunk []dataset.Record) bool {
+			select {
+			case merged <- chunk:
+				return true
+			case <-fctx.Done():
+				return false
+			}
+		}
 		for {
-			r, ok, err := spool.Pop()
+			chunk, ok, err := spool.PopChunk()
 			if err != nil {
 				feedErr <- err
 				return
@@ -894,21 +872,14 @@ buffering:
 			if !ok {
 				break
 			}
-			select {
-			case merged <- r:
-			case <-fctx.Done():
+			if !forward(chunk) {
 				return
 			}
 		}
 		for inOpen {
 			select {
-			case r, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case merged <- r:
-				case <-fctx.Done():
+			case chunk, ok := <-in:
+				if !ok || !forward(chunk) {
 					return
 				}
 			case <-fctx.Done():

@@ -12,24 +12,24 @@
 // optimized plan returns the same temperature-0 results as the user's
 // order while spending strictly less.
 //
-// Run executes the DAG as a streaming dataflow: stages exchange records
-// over bounded channels, so a downstream per-record stage (filter,
-// direct categorize, fixed-strategy impute, nested-loop join) starts
-// while its upstream is still emitting, while barrier stages
-// (sort/max/count, resolve, planner-driven impute) drain their input
-// first. A join's right side or an impute's example pool may name an
-// earlier stage instead of a static table; the executor materializes
-// that stage's stream once and fans it out, and a per-record consumer
-// buffers its main input in a spillable spool meanwhile instead of
-// draining it. Every stage shares one engine (one execution layer, one
-// embedding-index registry, one budget), and each stage's context is
-// tagged so the shared budget breaks down into per-stage usage and
-// dollar attribution. The only executor-shape knobs are Chunk, which
-// pins the micro-batch width (default Parallelism × max(Batch, 1), what
-// one round trip carries: Parallelism bounds upstream calls in flight,
-// and a batched call is an envelope), and Adaptive. The static source is
-// pre-buffered into its consumers' channels before any stage starts, so
-// a source that fits one chunk arrives as one chunk.
+// Run executes the DAG as a streaming dataflow: stages exchange chunks
+// of records over channels that hold one chunk each, so a downstream
+// per-record stage (filter, direct categorize, fixed-strategy impute,
+// nested-loop join) starts while its upstream is still emitting, while
+// barrier stages (sort/max/count, resolve, planner-driven impute) drain
+// their input first. Every chunk boundary is a function of the input:
+// the static source, each Feed wave and each barrier output are cut at
+// the run's one width — Chunk, or by default Parallelism × max(Batch, 1),
+// what one round trip carries — and a per-record stage emits its output
+// for one input chunk as one chunk. A join's right side or an impute's
+// example pool may name an earlier stage instead of a static table; the
+// executor materializes that stage's stream once and fans it out, and a
+// per-record consumer buffers its main input in a spillable spool
+// meanwhile instead of draining it. Every stage shares one engine (one
+// execution layer, one embedding-index registry, one budget), and each
+// stage's context is tagged so the shared budget breaks down into
+// per-stage usage and dollar attribution. The only executor-shape knobs
+// are Chunk and Adaptive.
 // RunSequential is the naive reference: each stage in turn over its
 // whole input table on a fresh engine, sharing nothing.
 //
@@ -38,19 +38,16 @@
 // sample before ordering (probe spend attributed under
 // workflow.StageProbe).
 //
-// ExecConfig.Adaptive enables the adaptive runtime: per-stage
-// micro-batch widths self-tune between max(Batch, 1) and max(64, default
-// width) from observed service time versus queue wait, and runs of
-// adjacent commutable filters execute as segments whose internal order
-// is revised at chunk boundaries as observed keep rates refine the
-// optimizer's estimates — both with byte-identical temperature-0
-// results.
+// ExecConfig.Adaptive enables the adaptive runtime: runs of adjacent
+// commutable filters execute as segments whose internal order is revised
+// at chunk boundaries as observed keep rates refine the optimizer's
+// estimates, with byte-identical temperature-0 results.
 //
-// ExecConfig.Feed turns a run into a standing query: records arriving on
-// the channel while the pipeline executes join the stream behind the
-// static source table and are re-evaluated incrementally by the same
-// streaming machinery, with results after full ingestion byte-identical
-// to a batch run over the final record set. internal/scenario drives
+// ExecConfig.Feed turns a run into a standing query: record waves
+// arriving on the channel while the pipeline executes join the stream
+// behind the static source table and are re-evaluated incrementally by
+// the same streaming machinery, with results after full ingestion
+// byte-identical to a batch run over the final record set. internal/scenario drives
 // standing queries under multi-turn traffic. See docs/PIPELINE.md,
 // docs/OPTIMIZER.md, and docs/SCENARIO.md.
 package pipeline

@@ -2,6 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,6 +86,66 @@ func TestBatchedFilterOneChunkEnvelopes(t *testing.T) {
 		}
 		if got, want := int(envelopes.Load()), (n+7)/8; got != want {
 			t.Fatalf("run %d: %d records issued %d envelopes, want %d", i, n, got, want)
+		}
+	}
+}
+
+// TestChunkBoundariesDeterministic pins that every chunk boundary is a
+// function of the input: a filter feeding a streaming categorize over the
+// 20 flavors gives the same calls, tokens and envelope prompts on every
+// run at GOMAXPROCS 1, 2 and 4 — at Parallelism 4 and Batch 8 (width 32,
+// one source chunk) and at Parallelism 2 and Batch 4 (width 8, source
+// chunks of 8, 8 and 4). A consumer that topped its chunks up with
+// whatever its upstream had buffered would pack the categorize envelopes
+// differently depending on how far the filter had got.
+func TestChunkBoundariesDeterministic(t *testing.T) {
+	p, err := Compile(Spec{Stages: []StageSpec{
+		{Name: "keep", Kind: KindFilter, Field: "name", Predicate: "it is a chocolatey flavor"},
+		{Name: "cat", Kind: KindCategorize, Field: "name", Categories: []string{"fruity", "nutty", "sweet"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := flavorTables(40)
+	type fingerprint struct {
+		calls, tokens int
+		envelopes     []string
+	}
+	run := func(cfg ExecConfig) fingerprint {
+		var mu sync.Mutex
+		var envelopes []string
+		upstream := sim.NewNamed("sim-gpt-3.5-turbo")
+		counting := llm.NewCounting(llm.Func{ModelName: upstream.Name(), Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
+			if isEnvelope(req.Prompt) {
+				mu.Lock()
+				envelopes = append(envelopes, req.Prompt)
+				mu.Unlock()
+			}
+			return upstream.Complete(ctx, req)
+		}})
+		cfg.Model = counting
+		if _, err := p.Run(context.Background(), cfg, tables); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(envelopes)
+		u := counting.Total()
+		return fingerprint{calls: u.Calls, tokens: u.Total(), envelopes: envelopes}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, cfg := range []ExecConfig{{Parallelism: 4, Batch: 8}, {Parallelism: 2, Batch: 4}} {
+		runtime.GOMAXPROCS(2)
+		want := run(cfg)
+		if len(want.envelopes) == 0 {
+			t.Fatal("no envelopes issued; the pin would be vacuous")
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for i := 0; i < 300; i++ {
+				if got := run(cfg); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Parallelism %d Batch %d, GOMAXPROCS %d, run %d: %d calls / %d tokens / %d envelopes, want %d / %d / %d (or the envelope prompts differ)",
+						cfg.Parallelism, cfg.Batch, procs, i, got.calls, got.tokens, len(got.envelopes), want.calls, want.tokens, len(want.envelopes))
+				}
+			}
 		}
 	}
 }

@@ -14,17 +14,19 @@ import (
 // only while the side stage materializes, so most runs never spill.
 const spoolMemRecords = 1024
 
-// recordSpool is a FIFO buffer for the side-input overlap path: records
+// recordSpool is a FIFO buffer for the side-input overlap path: chunks
 // append while the side stage is still materializing, then replay in
-// arrival order once it finishes. The first memCap records stay in an
-// in-memory ring; overflow spills to an unlinked temp file as JSON lines,
-// so an arbitrarily large buffered stream costs bounded memory. Append
-// and replay phases do not interleave: the executor appends until the
-// side stage completes, then drains. A spool is owned by one goroutine.
+// arrival order once it finishes, each with the boundaries it arrived
+// with. The first memCap records stay in an in-memory ring; overflow
+// spills to an unlinked temp file as JSON lines, so an arbitrarily large
+// buffered stream costs bounded memory. Append and replay phases do not
+// interleave: the executor appends until the side stage completes, then
+// drains. A spool is owned by one goroutine.
 type recordSpool struct {
 	memCap int
 	ring   []dataset.Record
-	head   int // next record to pop from ring
+	head   int   // next record to pop from ring
+	lens   []int // lengths of the chunks not yet popped, oldest first
 
 	spill   *os.File
 	w       *bufio.Writer
@@ -77,6 +79,36 @@ func (s *recordSpool) Append(r dataset.Record) error {
 	}
 	s.spilled++
 	return nil
+}
+
+// AppendChunk buffers one chunk and remembers its boundary.
+func (s *recordSpool) AppendChunk(chunk []dataset.Record) error {
+	for _, r := range chunk {
+		if err := s.Append(r); err != nil {
+			return err
+		}
+	}
+	s.lens = append(s.lens, len(chunk))
+	return nil
+}
+
+// PopChunk returns the oldest chunk appended by AppendChunk, with the
+// records it was appended with; ok is false when no chunk remains.
+func (s *recordSpool) PopChunk() ([]dataset.Record, bool, error) {
+	if len(s.lens) == 0 {
+		return nil, false, nil
+	}
+	chunk := make([]dataset.Record, s.lens[0])
+	s.lens = s.lens[1:]
+	for i := range chunk {
+		// lens sums to Len(), so Pop cannot run dry inside a chunk.
+		r, _, err := s.Pop()
+		if err != nil {
+			return nil, false, err
+		}
+		chunk[i] = r
+	}
+	return chunk, true, nil
 }
 
 // Len returns how many records are buffered and not yet popped.

@@ -159,3 +159,42 @@ func FuzzSpoolFIFO(f *testing.F) {
 		}
 	})
 }
+
+// TestSpoolChunkBoundaries pins that the spool replays chunks with the
+// boundaries they were appended with, across the memory/disk boundary:
+// where the overlap path's spool/live split falls must not move one.
+func TestSpoolChunkBoundaries(t *testing.T) {
+	s := newRecordSpool(4)
+	defer s.Close()
+	sizes := []int{3, 1, 4, 1, 5}
+	next := 0
+	for _, n := range sizes {
+		var chunk []dataset.Record
+		for i := 0; i < n; i++ {
+			chunk = append(chunk, spoolTestRecord(next))
+			next++
+		}
+		if err := s.AppendChunk(chunk); err != nil {
+			t.Fatalf("AppendChunk: %v", err)
+		}
+	}
+	next = 0
+	for i, n := range sizes {
+		chunk, ok, err := s.PopChunk()
+		if err != nil || !ok {
+			t.Fatalf("PopChunk %d = (ok %v, err %v), want a chunk", i, ok, err)
+		}
+		if len(chunk) != n {
+			t.Fatalf("chunk %d has %d records, want %d", i, len(chunk), n)
+		}
+		for _, r := range chunk {
+			if want := spoolTestRecord(next).ID; r.ID != want {
+				t.Fatalf("chunk %d returned %q, want %q", i, r.ID, want)
+			}
+			next++
+		}
+	}
+	if _, ok, err := s.PopChunk(); ok || err != nil {
+		t.Fatalf("PopChunk on a drained spool = (ok %v, err %v), want (false, nil)", ok, err)
+	}
+}

@@ -31,7 +31,7 @@ type Stage interface {
 }
 
 // Streamer is the optional streaming face of a Stage: a stage that can
-// process records in bounded micro-batches (Env's chunk size), emitting
+// process its input chunk by chunk, as the chunks arrive, emitting
 // outputs while its upstream is still producing. The executor streams a
 // stage only when CanStream reports true; RunSequential never streams.
 type Streamer interface {
@@ -40,65 +40,54 @@ type Streamer interface {
 	// the property that makes chunked execution return byte-identical
 	// temperature-0 results to a whole-table run.
 	CanStream() bool
-	// RunStream consumes records from in until it closes, emits output
-	// records via emit (which blocks on downstream backpressure), and
-	// returns how many input records it consumed.
-	RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error)
+	// RunStream consumes chunks from in until it closes, emits each input
+	// chunk's output records via emit (which blocks on downstream
+	// backpressure), and returns how many input records it consumed.
+	RunStream(ctx context.Context, env *Env, in <-chan []dataset.Record, emit func([]dataset.Record) error) (int, error)
 }
 
-// runChunked drives a streaming stage's common loop: assemble bounded
-// micro-batches from in, hand each to process, and emit its outputs. The
-// width of each chunk comes from the stage's chunker — fixed by default,
-// self-tuning under ExecConfig.Adaptive — which observes, along with the
-// stage's stats, how long the stage waited for input versus how long
-// processing and emission took.
-func runChunked(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error,
+// runChunked drives a streaming stage's common loop: receive each chunk
+// from in, hand it to process, and emit its outputs as one chunk. The
+// stage's stats observe how long the stage waited for each chunk versus
+// how long processing and emission took.
+func runChunked(ctx context.Context, env *Env, in <-chan []dataset.Record, emit func([]dataset.Record) error,
 	process func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error)) (int, error) {
 	consumed := 0
 	for {
 		start := time.Now()
-		chunk, more, err := nextChunk(ctx, in, env.chunk.size())
+		chunk, ok, err := recvChunk(ctx, in)
 		wait := time.Since(start)
-		if err != nil {
+		if err != nil || !ok {
 			return consumed, err
 		}
 		consumed += len(chunk)
-		if len(chunk) > 0 {
-			work := time.Now()
-			out, err := process(ctx, chunk)
-			if err != nil {
-				if !degradable(env, err) {
-					return consumed, err
-				}
-				// Degraded mode: retry the chunk record by record so one
-				// poisoned record costs itself, not its chunk-mates. Healthy
-				// records were answered (and cached) during the chunk attempt,
-				// so their solo retries are upstream-free.
-				out = out[:0]
-				for _, r := range chunk {
-					solo, err := process(ctx, []dataset.Record{r})
-					if err != nil {
-						if !degradable(env, err) {
-							return consumed, err
-						}
-						env.dropRecord(env.stats.stage, r, err)
-						continue
+		work := time.Now()
+		out, err := process(ctx, chunk)
+		if err != nil {
+			if !degradable(env, err) {
+				return consumed, err
+			}
+			// Degraded mode: retry the chunk record by record so one
+			// poisoned record costs itself, not its chunk-mates. Healthy
+			// records were answered (and cached) during the chunk attempt,
+			// so their solo retries are upstream-free.
+			out = out[:0]
+			for _, r := range chunk {
+				solo, err := process(ctx, []dataset.Record{r})
+				if err != nil {
+					if !degradable(env, err) {
+						return consumed, err
 					}
-					out = append(out, solo...)
+					env.dropRecord(env.stats.stage, r, err)
+					continue
 				}
+				out = append(out, solo...)
 			}
-			for _, r := range out {
-				if err := emit(r); err != nil {
-					return consumed, err
-				}
-			}
-			service := time.Since(work)
-			env.chunk.observe(wait, service, len(chunk))
-			env.stats.observe(wait, service, len(chunk))
 		}
-		if !more {
-			return consumed, nil
+		if err := emit(out); err != nil {
+			return consumed, err
 		}
+		env.stats.observe(wait, time.Since(work), len(chunk))
 	}
 }
 
@@ -218,7 +207,7 @@ func (s filterStage) Run(ctx context.Context, env *Env, in []dataset.Record) ([]
 // CanStream implements Streamer: every filter policy decides per item.
 func (s filterStage) CanStream() bool { return true }
 
-func (s filterStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
+func (s filterStage) RunStream(ctx context.Context, env *Env, in <-chan []dataset.Record, emit func([]dataset.Record) error) (int, error) {
 	var kept, asks int
 	consumed, err := runChunked(ctx, env, in, emit, func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error) {
 		out, a, err := s.filter(ctx, env, chunk)
@@ -279,7 +268,7 @@ func (s categorizeStage) CanStream() bool {
 	return s.spec.Strategy != string(core.CategorizeTwoPhase)
 }
 
-func (s categorizeStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
+func (s categorizeStage) RunStream(ctx context.Context, env *Env, in <-chan []dataset.Record, emit func([]dataset.Record) error) (int, error) {
 	categories := 0
 	consumed, err := runChunked(ctx, env, in, emit, func(ctx context.Context, chunk []dataset.Record) ([]dataset.Record, error) {
 		out, c, err := s.categorize(ctx, env, chunk)
@@ -424,7 +413,7 @@ func (s imputeStage) impute(ctx context.Context, env *Env, in, train []dataset.R
 // must see the whole table (the same reason it blocks filter pushdown).
 func (s imputeStage) CanStream() bool { return s.spec.Strategy != "auto" }
 
-func (s imputeStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
+func (s imputeStage) RunStream(ctx context.Context, env *Env, in <-chan []dataset.Record, emit func([]dataset.Record) error) (int, error) {
 	side := s.spec.Side
 	if side == "" {
 		side = "train"
@@ -520,7 +509,7 @@ func (s joinStage) CanStream() bool {
 	return s.spec.Strategy == string(core.JoinNestedLoop)
 }
 
-func (s joinStage) RunStream(ctx context.Context, env *Env, in <-chan dataset.Record, emit func(dataset.Record) error) (int, error) {
+func (s joinStage) RunStream(ctx context.Context, env *Env, in <-chan []dataset.Record, emit func([]dataset.Record) error) (int, error) {
 	side := env.Tables[s.spec.Side]
 	if len(side) == 0 {
 		return 0, fmt.Errorf("stage %q: side table %q is empty or missing", s.Name(), s.spec.Side)

@@ -14,14 +14,12 @@ import (
 // feedRecords hands the given waves to a fresh feed channel from a
 // background goroutine and closes it when done, so the run under test
 // genuinely receives records while it is already executing.
-func feedRecords(waves ...[]dataset.Record) <-chan dataset.Record {
-	feed := make(chan dataset.Record)
+func feedRecords(waves ...[]dataset.Record) <-chan []dataset.Record {
+	feed := make(chan []dataset.Record)
 	go func() {
 		defer close(feed)
 		for _, wave := range waves {
-			for _, r := range wave {
-				feed <- r
-			}
+			feed <- wave
 		}
 	}()
 	return feed
@@ -31,8 +29,8 @@ func feedRecords(waves ...[]dataset.Record) <-chan dataset.Record {
 // records ingested mid-run through ExecConfig.Feed must leave every
 // table, scalar, and detail byte-identical to a batch run whose source
 // table already held the full record set — across streaming and
-// adaptive (self-tuned chunks and filter segments) execution, and against
-// the materialized sequential reference (RunSequential) as the batch run.
+// adaptive (filter segments) execution, and against the materialized
+// sequential reference (RunSequential) as the batch run.
 func TestStandingQueryMatchesBatch(t *testing.T) {
 	model := llm.Func{ModelName: "standing", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		switch {
@@ -60,24 +58,20 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 	all := flavorTables(12)["source"]
 	static, fed := all[:5], all[5:]
 
-	// exact compares every table, scalar, and stage report byte for byte.
-	// The self-tuned adaptive configuration compares final outputs only:
-	// its chunk widths (and with them the segment's internal order
-	// revisions) depend on wall-clock timing, so intra-segment tables may
-	// legitimately differ between two runs — the segment tail and
-	// everything downstream may not. Pinning Chunk keeps the adaptive
-	// runtime's segments while making the whole report deterministic.
-	// sequential makes the batch side the materialized sequential
-	// reference instead of a batch Run of the same config.
+	// Every config compares every table, scalar, and stage report byte
+	// for byte: chunk boundaries are cut from the input, so even a
+	// segment's intra-segment tables follow from it. sequential makes the
+	// batch side the materialized sequential reference instead of a batch
+	// Run of the same config.
 	configs := []struct {
-		name              string
-		cfg               ExecConfig
-		exact, sequential bool
+		name       string
+		cfg        ExecConfig
+		sequential bool
 	}{
-		{"streaming", ExecConfig{Chunk: 2, Parallelism: 2}, true, false},
-		{"adaptive-pinned-chunk", ExecConfig{Adaptive: true, Chunk: 1, Parallelism: 2}, true, false},
-		{"adaptive-selftuned", ExecConfig{Adaptive: true, Parallelism: 2}, false, false},
-		{"materialized", ExecConfig{Parallelism: 2}, true, true},
+		{"streaming", ExecConfig{Chunk: 2, Parallelism: 2}, false},
+		{"adaptive-pinned-chunk", ExecConfig{Adaptive: true, Chunk: 1, Parallelism: 2}, false},
+		{"adaptive-selftuned", ExecConfig{Adaptive: true, Parallelism: 2}, false}, // the derived width
+		{"materialized", ExecConfig{Parallelism: 2}, true},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,24 +106,15 @@ func TestStandingQueryMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if tc.exact {
-				if !reflect.DeepEqual(batch.Tables, standing.Tables) {
-					t.Fatalf("standing-query tables differ from batch run:\nbatch    %v\nstanding %v",
-						batch.Tables, standing.Tables)
-				}
-				for i, s := range batch.Stages {
-					o := standing.Stages[i]
-					if s.Name != o.Name || s.In != o.In || s.Out != o.Out || s.Detail != o.Detail {
-						t.Fatalf("stage %q report differs: batch {in %d out %d %q} vs standing {in %d out %d %q}",
-							s.Name, s.In, s.Out, s.Detail, o.In, o.Out, o.Detail)
-					}
-				}
-			} else {
-				for _, name := range []string{"tight", "cat", "tally"} {
-					if !reflect.DeepEqual(batch.Tables[name], standing.Tables[name]) {
-						t.Fatalf("standing-query table %q differs from batch run:\nbatch    %v\nstanding %v",
-							name, batch.Tables[name], standing.Tables[name])
-					}
+			if !reflect.DeepEqual(batch.Tables, standing.Tables) {
+				t.Fatalf("standing-query tables differ from batch run:\nbatch    %v\nstanding %v",
+					batch.Tables, standing.Tables)
+			}
+			for i, s := range batch.Stages {
+				o := standing.Stages[i]
+				if s.Name != o.Name || s.In != o.In || s.Out != o.Out || s.Detail != o.Detail {
+					t.Fatalf("stage %q report differs: batch {in %d out %d %q} vs standing {in %d out %d %q}",
+						s.Name, s.In, s.Out, s.Detail, o.In, o.Out, o.Detail)
 				}
 			}
 			if !reflect.DeepEqual(batch.Scalars, standing.Scalars) {
@@ -184,7 +169,7 @@ func TestStandingQueryCancellation(t *testing.T) {
 	spec := Spec{Stages: []StageSpec{
 		{Name: "keep", Kind: KindFilter, Field: "name", Predicate: "p"},
 	}}
-	feed := make(chan dataset.Record) // never fed, never closed
+	feed := make(chan []dataset.Record) // never fed, never closed
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

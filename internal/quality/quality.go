@@ -283,49 +283,6 @@ func AskWithRetry[T any](ctx context.Context, model llm.Model, promptText string
 	return zero, fmt.Errorf("%d attempts failed (last: %v): %w", attempts, lastErr, ErrNoAnswer)
 }
 
-// VerifyAnswer asks the verifier model whether a previously produced
-// answer to a question is correct (Section 3.5's verification pattern).
-func VerifyAnswer(ctx context.Context, verifier llm.Model, question, answer string) (bool, error) {
-	resp, err := verifier.Complete(ctx, llm.Request{Prompt: prompt.Verify(question, answer)})
-	if err != nil {
-		return false, err
-	}
-	ok, perr := prompt.ParseYesNo(resp.Text)
-	if perr != nil {
-		return false, fmt.Errorf("verifier response unparseable: %w", ErrNoAnswer)
-	}
-	return ok, nil
-}
-
-// PanelYesNo asks the same yes/no prompt to several models and returns
-// the simple-majority answer with the split. Ties resolve to "no" (the
-// conservative answer for match tasks). Models whose responses cannot be
-// parsed abstain.
-func PanelYesNo(ctx context.Context, models []llm.Model, promptText string) (answer bool, yes, no int, err error) {
-	if len(models) == 0 {
-		return false, 0, 0, fmt.Errorf("quality: empty panel")
-	}
-	for _, m := range models {
-		resp, cerr := m.Complete(ctx, llm.Request{Prompt: promptText})
-		if cerr != nil {
-			return false, yes, no, cerr
-		}
-		v, perr := prompt.ParseYesNo(resp.Text)
-		if perr != nil {
-			continue
-		}
-		if v {
-			yes++
-		} else {
-			no++
-		}
-	}
-	if yes+no == 0 {
-		return false, 0, 0, fmt.Errorf("entire panel unparseable: %w", ErrNoAnswer)
-	}
-	return yes > no, yes, no, nil
-}
-
 // CascadeYesNo implements the FrugalGPT-style model cascade the paper
 // cites (Chen et al.): sample the cheap model cheapVotes times; when its
 // votes are unanimous, return them without touching the strong model,

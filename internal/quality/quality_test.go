@@ -237,30 +237,6 @@ func TestAskWithRetryModelError(t *testing.T) {
 	}
 }
 
-func TestPanelYesNo(t *testing.T) {
-	yes := llm.Func{ModelName: "y", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		return llm.Response{Text: "Yes"}, nil
-	}}
-	no := llm.Func{ModelName: "n", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		return llm.Response{Text: "No"}, nil
-	}}
-	ans, y, n, err := PanelYesNo(context.Background(), []llm.Model{yes, yes, no}, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans || y != 2 || n != 1 {
-		t.Fatalf("ans=%v y=%d n=%d", ans, y, n)
-	}
-	// Tie resolves to no.
-	ans, _, _, err = PanelYesNo(context.Background(), []llm.Model{yes, no}, "q")
-	if err != nil || ans {
-		t.Fatalf("tie should resolve to no: %v %v", ans, err)
-	}
-	if _, _, _, err := PanelYesNo(context.Background(), nil, "q"); err == nil {
-		t.Fatal("empty panel should error")
-	}
-}
-
 func TestCascadeYesNo(t *testing.T) {
 	// Cheap model: always wrong on "hard", always right on "easy".
 	cheap := llm.Func{ModelName: "cheap", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
@@ -310,30 +286,5 @@ func TestCascadeEscalatesOnUnparseableCheap(t *testing.T) {
 	ans, escalated, err := CascadeYesNo(context.Background(), cheap, strong, "q", 3, 1)
 	if err != nil || !ans || !escalated {
 		t.Fatalf("ans=%v escalated=%v err=%v", ans, escalated, err)
-	}
-}
-
-func TestVerifyAnswer(t *testing.T) {
-	// A verifier that approves "42" and rejects everything else.
-	verifier := llm.Func{ModelName: "v", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		if strings.Contains(req.Prompt, "It answered: 42") {
-			return llm.Response{Text: "Yes, that is correct."}, nil
-		}
-		return llm.Response{Text: "No."}, nil
-	}}
-	ok, err := VerifyAnswer(context.Background(), verifier, "what is six times seven?", "42")
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	ok, err = VerifyAnswer(context.Background(), verifier, "what is six times seven?", "41")
-	if err != nil || ok {
-		t.Fatalf("wrong answer should be rejected: ok=%v err=%v", ok, err)
-	}
-	// Unparseable verifier output is ErrNoAnswer.
-	mumble := llm.Func{ModelName: "m", Fn: func(ctx context.Context, req llm.Request) (llm.Response, error) {
-		return llm.Response{Text: "hmm"}, nil
-	}}
-	if _, err := VerifyAnswer(context.Background(), mumble, "q", "a"); !errors.Is(err, ErrNoAnswer) {
-		t.Fatalf("want ErrNoAnswer, got %v", err)
 	}
 }

@@ -352,8 +352,9 @@ func (h *Harness) describeRun(sc *Scenario, turn Turn, res *pipeline.Result, tr 
 
 // runQuery executes one pipeline run on the session engine. With Feed
 // waves it runs as a standing query: a goroutine hands each wave to the
-// executor over an unbuffered channel while the run is already consuming,
-// and the fed records join the session table once the run succeeds.
+// executor as one send on an unbuffered channel while the run is already
+// consuming, and the fed records join the session table once the run
+// succeeds.
 func (h *Harness) runQuery(ctx context.Context, sc *Scenario, s *session, turn Turn) (*pipeline.Result, error) {
 	p, err := pipeline.Compile(turnSpec(sc, turn))
 	if err != nil {
@@ -361,16 +362,14 @@ func (h *Harness) runQuery(ctx context.Context, sc *Scenario, s *session, turn T
 	}
 	cfg := s.execConfig(sc.Exec)
 	if len(turn.Feed) > 0 {
-		feed := make(chan dataset.Record)
+		feed := make(chan []dataset.Record)
 		go func() {
 			defer close(feed)
 			for _, wave := range turn.Feed {
-				for _, r := range wave {
-					select {
-					case feed <- r:
-					case <-ctx.Done():
-						return
-					}
+				select {
+				case feed <- wave:
+				case <-ctx.Done():
+					return
 				}
 			}
 		}()

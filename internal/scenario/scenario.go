@@ -112,9 +112,9 @@ type Turn struct {
 	// runs Scenario.Spec.
 	Spec *pipeline.Spec
 	// Feed holds record waves handed to the run mid-flight over an
-	// unbuffered channel (TurnQuery): each send blocks until the
-	// executor consumes it, so ingestion genuinely interleaves with
-	// execution. Fed records persist in the session table afterwards.
+	// unbuffered channel (TurnQuery), one send per wave: each send blocks
+	// until the executor consumes it, so ingestion genuinely interleaves
+	// with execution, and each wave is cut into chunks at the run's width. Fed records persist in the session table afterwards.
 	Feed [][]dataset.Record
 	// CompareBatch re-runs the query turn's spec as a plain batch over
 	// the final record set on a fresh, unperturbed engine and records

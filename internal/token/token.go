@@ -60,15 +60,6 @@ func wordTokens(chars int) int {
 	return (chars + 3) / 4
 }
 
-// CountAll returns the total token count across all strings.
-func CountAll(ss []string) int {
-	n := 0
-	for _, s := range ss {
-		n += Count(s)
-	}
-	return n
-}
-
 // Usage records the token consumption of one or more LLM calls.
 type Usage struct {
 	// PromptTokens is the number of tokens sent to the model.

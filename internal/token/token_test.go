@@ -39,15 +39,6 @@ func TestCountWords(t *testing.T) {
 	}
 }
 
-func TestCountAll(t *testing.T) {
-	if got := CountAll([]string{"cat", "dog"}); got != 2 {
-		t.Fatalf("CountAll = %d, want 2", got)
-	}
-	if got := CountAll(nil); got != 0 {
-		t.Fatalf("CountAll(nil) = %d, want 0", got)
-	}
-}
-
 func TestCountMonotoneUnderConcat(t *testing.T) {
 	// Property: Count(a + " " + b) == Count(a) + Count(b) since whitespace
 	// separates token groups cleanly.

@@ -65,13 +65,12 @@ func TenantTag(ctx context.Context) string {
 // micro-batches (chunks) and records flowed through it. The pipeline
 // executor's per-stage stats feed these observations into the run's
 // Attribution, where they surface in the run report next to the stage's
-// token spend — and where the adaptive chunker reads the service-time /
-// queue-wait balance it tunes against.
+// token spend.
 type StageTiming struct {
 	// Service is time spent processing chunks (operator work plus
 	// downstream emission, i.e. backpressure).
 	Service time.Duration
-	// Wait is time spent blocked assembling input chunks — waiting on a
+	// Wait is time spent blocked receiving input chunks — waiting on a
 	// slow upstream.
 	Wait time.Duration
 	// Chunks counts the micro-batches processed (1 for a barrier stage).

@@ -454,8 +454,8 @@ func TestExecLayerStatePersistence(t *testing.T) {
 	if n, err := layer.FlushState(); err != nil || n != 20 {
 		t.Fatalf("FlushState = (%d, %v), want (20, nil)", n, err)
 	}
-	if st, ok := layer.StateStats(); !ok || st.Records != 20 {
-		t.Fatalf("StateStats = (%+v, %v)", st, ok)
+	if st := layer.log.Stats(); st.Records != 20 {
+		t.Fatalf("log stats = %+v, want 20 records", st)
 	}
 	if err := layer.CloseState(); err != nil {
 		t.Fatalf("CloseState: %v", err)
@@ -515,15 +515,15 @@ func TestExecLayerAutoCompaction(t *testing.T) {
 		}
 	}
 	put(0)
-	if st, _ := layer.StateStats(); st.Records != n {
+	if st := layer.log.Stats(); st.Records != n {
 		t.Fatalf("fresh log has %d records, want %d", st.Records, n)
 	}
 	put(1) // 2n records, not > 2x live: no compaction yet
-	if st, _ := layer.StateStats(); st.Records != 2*n {
+	if st := layer.log.Stats(); st.Records != 2*n {
 		t.Fatalf("after one overwrite round: %d records, want %d (no auto-compact at exactly 2x)", st.Records, 2*n)
 	}
 	put(2) // 3n records > 2x live: compacts back to n
-	if st, _ := layer.StateStats(); st.Records != n {
+	if st := layer.log.Stats(); st.Records != n {
 		t.Fatalf("after two overwrite rounds: %d records, want auto-compaction to %d", st.Records, n)
 	}
 	if err := layer.CloseState(); err != nil {

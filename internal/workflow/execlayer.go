@@ -214,17 +214,6 @@ func (l *ExecLayer) CompactState() error {
 	return l.log.Compact(l.cache)
 }
 
-// StateStats returns the attached log's stats; ok is false when no state
-// is attached.
-func (l *ExecLayer) StateStats() (stats CacheLogStats, ok bool) {
-	l.stateMu.Lock()
-	defer l.stateMu.Unlock()
-	if l.log == nil {
-		return CacheLogStats{}, false
-	}
-	return l.log.Stats(), true
-}
-
 // CloseState flushes pending entries and closes the log, detaching it.
 // No-op without state.
 func (l *ExecLayer) CloseState() error {
